@@ -146,9 +146,10 @@ for _ in $(seq 1 50); do
 done
 ADDR=$(awk '/^listening on /{print $3; exit}' "$SRV_LOG")
 test -n "$ADDR"
-# e1/e2/e11 run in relay mode; xor2 has extracted sans-io cores and runs
-# in compute mode, so both session kinds land in the trace journals.
-target/release/spfe-client run --trace "$TRACE_CLIENT" --addr "$ADDR" e1 e2 e11 xor2
+# These experiments cover all 13 drivers; each runs its client core
+# against the server's cores, and every session lands in both journals.
+target/release/spfe-client run --trace "$TRACE_CLIENT" --addr "$ADDR" \
+  e1 e2 e4 e6 e8 e10 e11 e12
 # Mid-run scrapes over the same listener: spfe-metrics/v1 JSON and
 # Prometheus text exposition, both while sessions are being served.
 target/release/spfe-client stats --addr "$ADDR" > "$SNAP_MID"

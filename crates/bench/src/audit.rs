@@ -447,16 +447,16 @@ pub fn compare_audits(baseline: &AuditDoc, current: &[AuditReport]) -> Vec<Strin
 /// What kind of document a `spfe-tables validate` input turned out to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DocKind {
-    /// A cost-report suite at schema version 1–3.
-    Cost(u32),
+    /// An `spfe-cost-report/v3` suite.
+    Cost,
     /// An `spfe-audit/v1` leakage-audit document.
     Audit,
     /// An `spfe-metrics/v1` operational-telemetry snapshot.
     Metrics,
 }
 
-/// Validates one document of any family — cost suite (v1/v2/v3), audit,
-/// or metrics snapshot — dispatching on the `schema` field. Returns the
+/// Validates one document of any family — cost suite, audit, or metrics
+/// snapshot — dispatching on the `schema` field. Returns the
 /// human summary line (without the path prefix) and the detected kind.
 pub fn validate_doc(src: &str) -> Result<(String, DocKind), String> {
     let schema = json::parse(src)?
@@ -513,11 +513,11 @@ pub fn validate_doc(src: &str) -> Result<(String, DocKind), String> {
     Ok((
         format!(
             "valid {} — {} report(s), {modexps} modexps, threads={}",
-            suite.schema(),
+            spfe_obs::SCHEMA,
             suite.reports.len(),
             suite.threads
         ),
-        DocKind::Cost(suite.version),
+        DocKind::Cost,
     ))
 }
 
@@ -616,20 +616,6 @@ mod tests {
         assert!(diffs.iter().any(|d| d.contains("baseline verdict")));
     }
 
-    /// A minimal but complete v1 cost suite (mirrors the fixture the
-    /// `spfe-obs` suite tests pin).
-    const COST_V1_DOC: &str = r#"{
-      "schema": "spfe-cost-report/v1",
-      "threads": 1,
-      "reports": [
-        {"experiment":"e1","protocol":"p","elapsed_ns":9,
-         "spans":[{"path":"s","calls":1,"ns":7}],
-         "ops":[{"name":"modexp","count":3,"deterministic":true}],
-         "comm":{"up_bytes":1,"down_bytes":2,"messages":1,"half_rounds":1,
-                 "labels":[{"label":"q","up_bytes":1,"up_msgs":1,"down_bytes":0,"down_msgs":0}]}}
-      ]
-    }"#;
-
     #[test]
     fn validate_doc_classifies_mixed_schema_files() {
         let audit = audit_json(1, &[sample_report(3)]);
@@ -640,8 +626,8 @@ mod tests {
         assert!(validate_doc("{\"threads\": 1}").is_err());
 
         // A mixed batch — an audit doc and a metrics snapshot between
-        // cost suites of different versions — classifies file-by-file,
-        // the tally `validate` prints: v1=1 v3=1 audit=1 metrics=1.
+        // two cost suites — classifies file-by-file, the tally `validate`
+        // prints: cost=2 audit=1 metrics=1.
         let cost_v3 = spfe_obs::suite_json(
             2,
             &[spfe_obs::CostReport {
@@ -658,7 +644,7 @@ mod tests {
         registry.session_opened();
         registry.session_closed(
             "xor2",
-            "relay",
+            "client",
             Ok(()),
             spfe_obs::metrics::SessionUsage {
                 bytes_in: 64,
@@ -672,9 +658,9 @@ mod tests {
         assert!(summary.contains("spfe-metrics/v1"));
         let mut audits = 0usize;
         let mut metrics = 0usize;
-        let mut by_version = [0usize; 3];
+        let mut costs = 0usize;
         for doc in [
-            COST_V1_DOC,
+            cost_v3.as_str(),
             audit.as_str(),
             cost_v3.as_str(),
             metrics_doc.as_str(),
@@ -683,12 +669,13 @@ mod tests {
             match kind {
                 DocKind::Audit => audits += 1,
                 DocKind::Metrics => metrics += 1,
-                DocKind::Cost(v) => by_version[v as usize - 1] += 1,
+                DocKind::Cost => costs += 1,
             }
         }
-        assert_eq!(audits, 1);
-        assert_eq!(metrics, 1);
-        assert_eq!(by_version, [1, 0, 1]);
+        assert_eq!((costs, audits, metrics), (2, 1, 1));
+        // A retired cost schema is rejected, not tallied.
+        let v1 = cost_v3.replace("spfe-cost-report/v3", "spfe-cost-report/v1");
+        assert!(validate_doc(&v1).unwrap_err().contains("unknown schema"));
     }
 
     #[test]

@@ -8,10 +8,10 @@
 //! (with latency quantiles and the heap axis), op counters, and per-label
 //! communication for every measured execution. Subcommands:
 //!
-//! * `validate [paths...]` — re-parses each document (cost-report suite
-//!   v3 or the older v2/v1, or an `spfe-audit/v1` leakage audit,
-//!   reporting which) and fails on schema drift; with several files it
-//!   prints a per-schema tally at the end.
+//! * `validate [paths...]` — re-parses each document (an
+//!   `spfe-cost-report/v3` suite, an `spfe-audit/v1` leakage audit or an
+//!   `spfe-metrics/v1` snapshot, reporting which) and fails on schema
+//!   drift; with several files it prints a per-schema tally at the end.
 //! * `audit [driver|eN|all ...] [--json] [--check] [--accept]
 //!   [--baseline PATH]` — the differential obliviousness gate (DESIGN.md
 //!   §14): re-runs every selected harness driver over its secret-input
@@ -204,15 +204,15 @@ fn list_ids() {
     );
 }
 
-/// `validate [paths...]`: checks each document — cost-report suite
-/// (v1/v2/v3), `spfe-audit/v1` leakage audit, or `spfe-metrics/v1`
+/// `validate [paths...]`: checks each document — `spfe-cost-report/v3`
+/// suite, `spfe-audit/v1` leakage audit, or `spfe-metrics/v1`
 /// operational snapshot, dispatching on the `schema` field — and, given
 /// several, prints a per-schema tally. Exits nonzero if any file fails.
 fn validate_cmd(args: &[String]) {
     use spfe_bench::audit::DocKind;
     let default = ["BENCH_costs.json".to_owned()];
     let paths: &[String] = if args.is_empty() { &default } else { args };
-    let mut by_version = [0usize; 3]; // cost v1, v2, v3
+    let mut costs = 0usize;
     let mut audits = 0usize;
     let mut metrics = 0usize;
     let mut failures = 0usize;
@@ -226,11 +226,7 @@ fn validate_cmd(args: &[String]) {
                 match kind {
                     DocKind::Audit => audits += 1,
                     DocKind::Metrics => metrics += 1,
-                    DocKind::Cost(version) => {
-                        if let Some(slot) = by_version.get_mut(version as usize - 1) {
-                            *slot += 1;
-                        }
-                    }
+                    DocKind::Cost => costs += 1,
                 }
             }
             Err(e) => {
@@ -241,11 +237,8 @@ fn validate_cmd(args: &[String]) {
     }
     if paths.len() > 1 {
         println!(
-            "schemas: v1={} v2={} v3={} audit={audits} metrics={metrics} \
+            "schemas: cost={costs} audit={audits} metrics={metrics} \
              ({} file(s), {} failure(s))",
-            by_version[0],
-            by_version[1],
-            by_version[2],
             paths.len(),
             failures
         );

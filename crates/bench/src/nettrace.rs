@@ -28,15 +28,13 @@ use spfe_obs::json::{self, escape, Json};
 use spfe_obs::metrics::MetricsSnapshot;
 
 /// One session slice of a party's journal: `session:<driver>` with the
-/// `(session, mode)` tag from the open event.
+/// session id from the open event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSlice {
     /// Session identifier (from the Hello frame).
     pub session: u64,
     /// Driver (experiment) name.
     pub driver: String,
-    /// Session mode code (0 = relay, 1 = compute).
-    pub mode: u64,
     /// Journal thread the session ran on.
     pub tid: u64,
     /// Slice begin, microseconds in the party's own clock.
@@ -132,15 +130,10 @@ pub fn parse_party(src: &str) -> Result<PartyTrace, String> {
                     .and_then(|a| a.get("session"))
                     .and_then(Json::as_u64)
                     .unwrap_or(0);
-                let mode = args
-                    .and_then(|a| a.get("mode"))
-                    .and_then(Json::as_u64)
-                    .unwrap_or(0);
                 let idx = party.sessions.len();
                 party.sessions.push(SessionSlice {
                     session,
                     driver,
-                    mode,
                     tid,
                     begin_us: ts,
                     end_us: ts,
@@ -321,10 +314,10 @@ pub fn merge(id: &str, client: &PartyTrace, server: &PartyTrace) -> (String, Mer
             continue;
         };
         common += 1;
-        if cs.driver != ss.driver || cs.mode != ss.mode {
+        if cs.driver != ss.driver {
             violations.push(format!(
-                "session {}: parties disagree on (driver, mode): client ({}, {}), server ({}, {})",
-                cs.session, cs.driver, cs.mode, ss.driver, ss.mode
+                "session {}: parties disagree on the driver: client {}, server {}",
+                cs.session, cs.driver, ss.driver
             ));
         }
         pair_direction(
@@ -445,8 +438,8 @@ fn render(
                  shift: f64| {
         for s in &p.sessions {
             emit(out, format!(
-                "{{\"name\":\"session:{}\",\"cat\":\"session\",\"ph\":\"B\",\"ts\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"session\":{},\"mode\":{}}}}}",
-                escape(&s.driver), ts(s.begin_us + shift), s.tid, s.session, s.mode
+                "{{\"name\":\"session:{}\",\"cat\":\"session\",\"ph\":\"B\",\"ts\":{},\"pid\":{pid},\"tid\":{},\"args\":{{\"session\":{}}}}}",
+                escape(&s.driver), ts(s.begin_us + shift), s.tid, s.session
             ));
             emit(out, format!(
                 "{{\"name\":\"session:{}\",\"cat\":\"session\",\"ph\":\"E\",\"ts\":{},\"pid\":{pid},\"tid\":{}}}",
@@ -491,14 +484,9 @@ fn render(
 }
 
 /// Cross-checks the server journal against the server's own metrics
-/// snapshot: every payload byte the registry metered must appear on the
-/// journal's wire events exactly once. The reconciliation is mode-aware
-/// because the two layers count differently: the journal records *wire*
-/// frames, while the registry meters *logical* traffic — a relay session
-/// echoes every received Msg verbatim (journalled as a send) but meters
-/// it only once, by its logical direction flag; a compute session meters
-/// incoming frames as `bytes_in` and originated replies as `bytes_out`.
-/// Returns violations.
+/// snapshot: every payload byte the registry metered — incoming frames
+/// as `bytes_in`, originated replies as `bytes_out` — must appear on the
+/// journal's wire events exactly once. Returns violations.
 pub fn check_against_metrics(server: &PartyTrace, snap: &MetricsSnapshot) -> Vec<String> {
     let mut violations = Vec::new();
     let mut expected = 0u64;
@@ -510,21 +498,7 @@ pub fn check_against_metrics(server: &PartyTrace, snap: &MetricsSnapshot) -> Vec
                 .map(|e| e.bytes)
                 .sum()
         };
-        let (recv, sent) = (sum(false), sum(true));
-        if s.mode == 0 {
-            // Relay: the echo stream mirrors the received stream byte
-            // for byte (Bye is received only, but carries no payload),
-            // and the registry counted each received Msg exactly once.
-            if sent != recv {
-                violations.push(format!(
-                    "relay session {}: journal echoed {sent} bytes of {recv} received",
-                    s.session
-                ));
-            }
-            expected += recv;
-        } else {
-            expected += recv + sent;
-        }
+        expected += sum(false) + sum(true);
     }
     let metered = snap.bytes_in + snap.bytes_out;
     if expected != metered {
@@ -556,10 +530,10 @@ mod tests {
         }
     }
 
-    /// One relay-style session 7: the client sends q (64 B) and bye, the
-    /// server echoes q back. Stamps follow the wire protocol: client
-    /// tick=1, server observe→2 tick=3, client observe→4; bye tick=5,
-    /// server observe→6.
+    /// One session 7: the client sends q (64 B), the server answers a
+    /// (32 B), the client sends bye. Stamps follow the wire protocol:
+    /// client tick=1, server observe→2 tick=3, client observe→4; bye
+    /// tick=5, server observe→6.
     fn sample_parties() -> (PartyTrace, PartyTrace) {
         let client = Trace {
             threads: vec![ThreadTrace {
@@ -567,8 +541,8 @@ mod tests {
                 events: vec![
                     ev(EventKind::NetSessionOpen, 0, "xor2", 7, 0),
                     ev(EventKind::NetSend, 1_000, "q", 64, stamp(1, 1)),
-                    ev(EventKind::NetRecv, 5_000, "q", 64, stamp(1, 4)),
-                    ev(EventKind::NetSend, 6_000, "net-bye", 0, stamp(1, 5)),
+                    ev(EventKind::NetRecv, 5_000, "a", 32, stamp(2, 4)),
+                    ev(EventKind::NetSend, 6_000, "net-bye", 0, stamp(2, 5)),
                     ev(EventKind::NetSessionClose, 7_000, "xor2", 7, 0),
                 ],
                 dropped: 0,
@@ -583,8 +557,8 @@ mod tests {
                 events: vec![
                     ev(EventKind::NetSessionOpen, 100, "xor2", 7, 0),
                     ev(EventKind::NetRecv, 500, "q", 64, stamp(1, 2)),
-                    ev(EventKind::NetSend, 900, "q", 64, stamp(1, 3)),
-                    ev(EventKind::NetRecv, 1_500, "net-bye", 0, stamp(1, 6)),
+                    ev(EventKind::NetSend, 900, "a", 32, stamp(2, 3)),
+                    ev(EventKind::NetRecv, 1_500, "net-bye", 0, stamp(2, 6)),
                     ev(EventKind::NetSessionClose, 1_600, "xor2", 7, 0),
                 ],
                 dropped: 0,
@@ -602,7 +576,7 @@ mod tests {
         let (client, _) = sample_parties();
         assert_eq!(client.sessions.len(), 1);
         let s = &client.sessions[0];
-        assert_eq!((s.session, s.driver.as_str(), s.mode), (7, "xor2", 0));
+        assert_eq!((s.session, s.driver.as_str()), (7, "xor2"));
         assert!(s.begin_us < s.end_us);
         assert_eq!(client.events.len(), 3);
         let q = &client.events[0];
@@ -624,7 +598,7 @@ mod tests {
         let (timeline, report) = merge("e1", &client, &server);
         assert_eq!(report.violations, Vec::<String>::new());
         assert_eq!(report.sessions, 1);
-        assert_eq!(report.flows, 3, "q out, q echo, bye");
+        assert_eq!(report.flows, 3, "q out, a back, bye");
         // The merged document is valid JSON with both process tracks,
         // per-pair flow arrows, and synthesized on-wire slices.
         let doc = json::parse(&timeline).unwrap();
@@ -655,9 +629,8 @@ mod tests {
     #[test]
     fn merge_flags_causal_violations() {
         let (client, mut server) = sample_parties();
-        // Corrupt the echo's receive stamp on the client side would need
-        // rebuilding; easier: regress the server's receive stamp below
-        // the client's send stamp.
+        // Regress the server's receive stamp below the client's send
+        // stamp.
         server.events[0].lamport = 1; // was 2, client sent with 1
         let (_, report) = merge("e1", &client, &server);
         assert!(report
@@ -672,9 +645,9 @@ mod tests {
         // Missing server side entirely.
         let (_, report) = merge("e1", &client, &PartyTrace::default());
         assert!(report.violations.iter().any(|v| v.contains("client only")));
-        // Dropped echo: server send unpaired and depth mismatch paths.
+        // Dropped answer: server send unpaired and depth mismatch paths.
         let mut lossy = server.clone();
-        lossy.events.retain(|e| !(e.send && e.label == "q"));
+        lossy.events.retain(|e| !(e.send && e.label == "a"));
         let (_, report) = merge("e1", &client, &lossy);
         assert!(report
             .violations
@@ -691,14 +664,13 @@ mod tests {
     fn metrics_cross_check_compares_byte_totals() {
         let (_, server) = sample_parties();
         let mut snap = spfe_obs::metrics::Metrics::new().snapshot();
-        // The relay session metered q (64 B) once, by its logical
-        // direction; the echo and the 0-byte Bye add nothing.
+        // q (64 B) in, a (32 B) out; the 0-byte Bye adds nothing.
         snap.bytes_in = 64;
-        snap.bytes_out = 0;
+        snap.bytes_out = 32;
         assert_eq!(check_against_metrics(&server, &snap), Vec::<String>::new());
-        snap.bytes_out = 1;
+        snap.bytes_out = 33;
         let violations = check_against_metrics(&server, &snap);
         assert_eq!(violations.len(), 1);
-        assert!(violations[0].contains("bytes_in + bytes_out = 65"));
+        assert!(violations[0].contains("bytes_in + bytes_out = 97"));
     }
 }

@@ -203,7 +203,7 @@ mod tests {
         m.session_opened();
         m.transfer(true, 64);
         m.transfer(false, 32);
-        m.session_closed("xor2", "relay", Ok(()), usage(64, 32));
+        m.session_closed("xor2", "client", Ok(()), usage(64, 32));
         m
     }
 
@@ -252,7 +252,7 @@ mod tests {
         m.session_opened();
         m.session_closed(
             "xor2",
-            "relay",
+            "client",
             Err(FailureKind::TransferTimeout),
             SessionUsage::default(),
         );
@@ -269,7 +269,7 @@ mod tests {
             report
                 .violations
                 .iter()
-                .any(|v| v.contains("driver:xor2/relay:failed")),
+                .any(|v| v.contains("driver:xor2/client:failed")),
             "{report:?}"
         );
     }
@@ -298,7 +298,7 @@ mod tests {
         let fresh = serving_registry();
         fresh.session_opened();
         fresh.transfer(true, 1);
-        fresh.session_closed("xor2", "relay", Ok(()), usage(1, 0));
+        fresh.session_closed("xor2", "client", Ok(()), usage(1, 0));
         // Pretend the fresh registry's extra session existed first, then
         // "compare" against the original single-session snapshot: the
         // opened counter appears to go backwards.

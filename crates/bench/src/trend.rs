@@ -118,7 +118,7 @@ fn metrics(report: &CostReport) -> BTreeMap<String, u64> {
 
 /// The heap metrics for one pair of reports: `(metric, baseline, current,
 /// gated)`. Emitted only when either side carries heap data at all, so
-/// pre-v3 baselines and non-`obs-alloc` runs produce no `mem:` rows.
+/// non-`obs-alloc` runs produce no `mem:` rows.
 fn mem_metrics(
     baseline: &Suite,
     base: &CostReport,
@@ -422,18 +422,13 @@ mod tests {
 
     fn suite(reports: Vec<CostReport>) -> Suite {
         Suite {
-            version: 2,
             threads: 1,
             reports,
         }
     }
 
     fn suite_at(threads: u64, reports: Vec<CostReport>) -> Suite {
-        Suite {
-            version: 3,
-            threads,
-            reports,
-        }
+        Suite { threads, reports }
     }
 
     #[test]

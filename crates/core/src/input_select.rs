@@ -21,10 +21,14 @@
 
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
-use spfe_math::{Fp64, Nat, Poly, RandomSource};
+use spfe_math::{Fp64, Nat, Poly, RandomSource, SharedRng};
 use spfe_pir::spir::{self, SpirParams, SpirQuery};
 use spfe_pir::{batched, words};
-use spfe_transport::{Channel, ChannelExt, ProtocolError};
+use spfe_transport::{
+    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, RoundClient,
+    RoundServer, ServerRounds, Wire,
+};
+use std::borrow::Cow;
 
 /// Statistical blinding bits for integer masking (2⁻⁴⁰ distance).
 pub const STAT_SECURITY_BITS: usize = 40;
@@ -101,61 +105,380 @@ where
     S: HomomorphicSk<P>,
     R: RandomSource + ?Sized,
 {
-    let _proto = spfe_obs::span("select1");
-    let p = field.modulus();
-    assert!(db.iter().all(|&v| v < p), "db value exceeds field");
+    assert!(
+        db.iter().all(|&v| v < field.modulus()),
+        "db value exceeds field"
+    );
     assert!(indices.iter().all(|&i| i < db.len()), "index out of range");
-    let params = SpirParams::new(group.clone(), db.len());
+    let rng = SharedRng::new(rng);
+    let client = Select1Client::new(group, pk, sk, db.len(), indices, field, &rng);
+    let mut client = RoundClient::new(client);
+    let server = Select1Server::new(group, pk, db, field, indices.len(), &rng, &rng);
+    let mut servers = [RoundServer::new(0, server)];
+    pump(t, &mut client, &mut servers)?;
+    Ok(SharesModP {
+        p: field.modulus(),
+        server: servers[0].inner().shares.clone(),
+        client: client
+            .inner()
+            .shares
+            .clone()
+            .expect("pump finished the session"),
+    })
+}
 
-    // Client: all m queries in one message.
-    let (queries, states) = {
-        let _s = spfe_obs::span("query-gen");
-        let mut queries = Vec::with_capacity(indices.len());
-        let mut states = Vec::with_capacity(indices.len());
-        for &i in indices {
-            let (q, st) = spir::client_query(&params, pk, i, rng);
-            queries.push(q);
-            states.push(st);
+/// §3.3.1's exchange: one SPIR query per selected slot up, one answer per
+/// slot down.
+pub const SELECT1: Exchange =
+    Exchange::new("select1", "sel1-queries", "sel1-answers", "server-scan");
+
+/// Client half of [`select1`]: ends holding its shares `b_j`.
+#[derive(Debug)]
+pub struct Select1Client<'a, P, S, R> {
+    params: SpirParams,
+    pk: &'a P,
+    sk: &'a S,
+    indices: Vec<usize>,
+    p: u64,
+    rng: R,
+    states: Vec<spir::SpirClientState>,
+    shares: Option<Vec<u64>>,
+}
+
+impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> Select1Client<'a, P, S, R> {
+    /// A client selecting `indices` of an `n`-item database into shares
+    /// over `field`.
+    pub fn new(
+        group: &SchnorrGroup,
+        pk: &'a P,
+        sk: &'a S,
+        n: usize,
+        indices: &[usize],
+        field: Fp64,
+        rng: R,
+    ) -> Self {
+        Select1Client {
+            params: SpirParams::new(group.clone(), n),
+            pk,
+            sk,
+            indices: indices.to_vec(),
+            p: field.modulus(),
+            rng,
+            states: Vec::new(),
+            shares: None,
         }
-        (queries, states)
-    };
-    let queries: Vec<SpirQuery> = t.client_to_server(0, "sel1-queries", &queries)?;
-
-    // Server: per slot, pick a_j and answer against v_i = x_i − a_j.
-    let mut server_shares = Vec::with_capacity(indices.len());
-    let answers: Vec<spfe_pir::SpirAnswer> = {
-        let _s = spfe_obs::span("server-scan");
-        queries
-            .iter()
-            .map(|q| {
-                let a_j = field.random(rng);
-                server_shares.push(a_j);
-                let vdb: Vec<u64> = db.iter().map(|&x| field.sub(x, a_j)).collect();
-                spir::server_answer(&params, pk, &vdb, q, rng)
-            })
-            .collect::<Result<_, _>>()?
-    };
-    let answers: Vec<spfe_pir::SpirAnswer> = t.server_to_client(0, "sel1-answers", &answers)?;
-    if answers.len() != states.len() {
-        return Err(ProtocolError::InvalidMessage {
-            label: "sel1-answers",
-            reason: "wrong number of answers",
-        });
     }
 
-    // Client: decode b_j.
-    let _s = spfe_obs::span("reconstruct");
-    let client_shares: Vec<u64> = states
-        .iter()
-        .zip(&answers)
-        .map(|(st, a)| spir::client_decode(&params, pk, sk, st, a))
-        .collect::<Result<_, _>>()?;
+    fn query(&mut self) -> Vec<(usize, Vec<u8>)> {
+        let mut queries = Vec::with_capacity(self.indices.len());
+        for &i in &self.indices {
+            let (q, st) = spir::client_query(&self.params, self.pk, i, &mut self.rng);
+            queries.push(q);
+            self.states.push(st);
+        }
+        vec![(0, queries.to_bytes())]
+    }
 
-    Ok(SharesModP {
-        p,
-        server: server_shares,
-        client: client_shares,
-    })
+    fn decode(&mut self, reply: &[u8]) -> Result<(), ProtocolError> {
+        let answers = Vec::<spfe_pir::SpirAnswer>::from_bytes(reply)?;
+        if answers.len() != self.states.len() {
+            return Err(ProtocolError::InvalidMessage {
+                label: "sel1-answers",
+                reason: "wrong number of answers",
+            });
+        }
+        let shares = self
+            .states
+            .iter()
+            .zip(&answers)
+            .map(|(st, a)| spir::client_decode(&self.params, self.pk, self.sk, st, a))
+            .collect::<Result<_, _>>()?;
+        self.shares = Some(shares);
+        Ok(())
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> ClientRounds
+    for Select1Client<'_, P, S, R>
+{
+    fn exchanges(&self) -> &[Exchange] {
+        &[SELECT1]
+    }
+
+    fn queries(&mut self, _step: usize) -> Result<Option<Queries>, ProtocolError> {
+        Ok(Some(self.query()))
+    }
+
+    fn absorb(&mut self, _step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        self.decode(&replies[0])
+    }
+
+    /// The sum of the client's shares mod `p`.
+    fn digest(&self) -> Option<u64> {
+        let shares = self.shares.as_ref()?;
+        Some(shares.iter().fold(0, |acc, &b| (acc + b) % self.p))
+    }
+}
+
+/// Server half of [`select1`]: per slot, draws its share `a_j` from
+/// `share_rng` and answers the SPIR query against `v_i = x_i − a_j`, with
+/// pads from `rng`. Ends holding its shares.
+#[derive(Debug)]
+pub struct Select1Server<'a, P, R> {
+    params: SpirParams,
+    pk: &'a P,
+    db: Cow<'a, [u64]>,
+    field: Fp64,
+    m: usize,
+    rng: R,
+    share_rng: R,
+    shares: Vec<u64>,
+}
+
+impl<'a, P: HomomorphicPk, R: RandomSource> Select1Server<'a, P, R> {
+    /// A server holding `db` that serves selections of `m` items.
+    pub fn new(
+        group: &SchnorrGroup,
+        pk: &'a P,
+        db: impl Into<Cow<'a, [u64]>>,
+        field: Fp64,
+        m: usize,
+        rng: R,
+        share_rng: R,
+    ) -> Self {
+        let db = db.into();
+        Select1Server {
+            params: SpirParams::new(group.clone(), db.len()),
+            pk,
+            db,
+            field,
+            m,
+            rng,
+            share_rng,
+            shares: Vec::new(),
+        }
+    }
+
+    fn answer_queries(&mut self, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        let queries = Vec::<SpirQuery>::from_bytes(query)?;
+        if queries.len() != self.m {
+            return Err(ProtocolError::InvalidMessage {
+                label: "sel1-queries",
+                reason: "query count does not match the selection size",
+            });
+        }
+        let field = self.field;
+        let answers: Vec<spfe_pir::SpirAnswer> = queries
+            .iter()
+            .map(|q| {
+                let a_j = field.random(&mut self.share_rng);
+                self.shares.push(a_j);
+                let vdb: Vec<u64> = self.db.iter().map(|&x| field.sub(x, a_j)).collect();
+                spir::server_answer(&self.params, self.pk, &vdb, q, &mut self.rng)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok(answers.to_bytes())
+    }
+}
+
+impl<P: HomomorphicPk, R: RandomSource> ServerRounds for Select1Server<'_, P, R> {
+    fn exchanges(&self) -> &[Exchange] {
+        &[SELECT1]
+    }
+
+    fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        self.answer_queries(query)
+    }
+}
+
+/// A protocol phase that runs on additive shares mod `p` — after
+/// [`select1`] ([`Select1Then`]) or on shares the parties already hold
+/// ([`OnShares`]).
+pub trait SharePhase {
+    /// The phase's exchange.
+    fn exchange(&self) -> Exchange;
+}
+
+/// The client half of a [`SharePhase`].
+pub trait ShareClient: SharePhase {
+    /// The phase's query, built on the client's shares.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError`] if the query cannot be built.
+    fn query<R: RandomSource>(
+        &mut self,
+        shares: &[u64],
+        rng: &mut R,
+    ) -> Result<Vec<u8>, ProtocolError>;
+
+    /// Takes the server's reply.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError`] on a malformed reply.
+    fn absorb(&mut self, reply: &[u8]) -> Result<(), ProtocolError>;
+
+    /// The harness digest of the phase's output.
+    fn digest(&self) -> Option<u64>;
+}
+
+/// The server half of a [`SharePhase`].
+pub trait ShareServer: SharePhase {
+    /// Answers the client's query on the server's shares.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError`] on a malformed (client-controlled) query.
+    fn answer<R: RandomSource>(
+        &mut self,
+        shares: &[u64],
+        query: &[u8],
+        rng: &mut R,
+    ) -> Result<Vec<u8>, ProtocolError>;
+}
+
+/// Input selection by [`select1`], then `Ph` on the resulting shares:
+/// each party carries its own share vector into the second phase.
+#[derive(Debug)]
+pub struct Select1Then<Sel, Ph> {
+    sel: Sel,
+    phase: Ph,
+    exchanges: [Exchange; 2],
+}
+
+impl<Sel, Ph: SharePhase> Select1Then<Sel, Ph> {
+    /// Chains `phase` after the selection half `sel`.
+    pub fn new(sel: Sel, phase: Ph) -> Self {
+        let exchanges = [SELECT1, phase.exchange()];
+        Select1Then {
+            sel,
+            phase,
+            exchanges,
+        }
+    }
+
+    /// The second phase (read its result once the session is done).
+    pub fn phase(&self) -> &Ph {
+        &self.phase
+    }
+}
+
+impl<P, S, R, Ph> ClientRounds for Select1Then<Select1Client<'_, P, S, R>, Ph>
+where
+    P: HomomorphicPk,
+    S: HomomorphicSk<P>,
+    R: RandomSource,
+    Ph: ShareClient,
+{
+    fn exchanges(&self) -> &[Exchange] {
+        &self.exchanges
+    }
+
+    fn queries(&mut self, step: usize) -> Result<Option<Queries>, ProtocolError> {
+        if step == 0 {
+            return Ok(Some(self.sel.query()));
+        }
+        let shares = self
+            .sel
+            .shares
+            .as_deref()
+            .expect("selection precedes the phase");
+        Ok(Some(vec![(
+            0,
+            self.phase.query(shares, &mut self.sel.rng)?,
+        )]))
+    }
+
+    fn absorb(&mut self, step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        if step == 0 {
+            self.sel.decode(&replies[0])
+        } else {
+            self.phase.absorb(&replies[0])
+        }
+    }
+
+    fn digest(&self) -> Option<u64> {
+        self.phase.digest()
+    }
+}
+
+impl<P, R, Ph> ServerRounds for Select1Then<Select1Server<'_, P, R>, Ph>
+where
+    P: HomomorphicPk,
+    R: RandomSource,
+    Ph: ShareServer,
+{
+    fn exchanges(&self) -> &[Exchange] {
+        &self.exchanges
+    }
+
+    fn answer(&mut self, step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        if step == 0 {
+            self.sel.answer_queries(query)
+        } else {
+            self.phase
+                .answer(&self.sel.shares, query, &mut self.sel.rng)
+        }
+    }
+}
+
+/// A [`SharePhase`] on shares the party already holds.
+#[derive(Debug)]
+pub struct OnShares<Ph, R> {
+    phase: Ph,
+    shares: Vec<u64>,
+    rng: R,
+    exchanges: [Exchange; 1],
+}
+
+impl<Ph: SharePhase, R> OnShares<Ph, R> {
+    /// Runs `phase` on this party's `shares`.
+    pub fn new(phase: Ph, shares: Vec<u64>, rng: R) -> Self {
+        let exchanges = [phase.exchange()];
+        OnShares {
+            phase,
+            shares,
+            rng,
+            exchanges,
+        }
+    }
+
+    /// The phase (read its result once the session is done).
+    pub fn phase(&self) -> &Ph {
+        &self.phase
+    }
+}
+
+impl<Ph: ShareClient, R: RandomSource> ClientRounds for OnShares<Ph, R> {
+    fn exchanges(&self) -> &[Exchange] {
+        &self.exchanges
+    }
+
+    fn queries(&mut self, _step: usize) -> Result<Option<Queries>, ProtocolError> {
+        Ok(Some(vec![(
+            0,
+            self.phase.query(&self.shares, &mut self.rng)?,
+        )]))
+    }
+
+    fn absorb(&mut self, _step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        self.phase.absorb(&replies[0])
+    }
+
+    fn digest(&self) -> Option<u64> {
+        self.phase.digest()
+    }
+}
+
+impl<Ph: ShareServer, R: RandomSource> ServerRounds for OnShares<Ph, R> {
+    fn exchanges(&self) -> &[Exchange] {
+        &self.exchanges
+    }
+
+    fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        self.phase.answer(&self.shares, query, &mut self.rng)
+    }
 }
 
 /// §3.3.1 written against the paper's SPIR *black box* ([`SpirOracle`]):

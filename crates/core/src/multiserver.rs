@@ -17,11 +17,12 @@
 
 use spfe_circuits::formula::{encode_index, eval_formula_poly, index_bits, selector_eval, Formula};
 use spfe_math::par::{par_map_cost, CostClass};
-use spfe_math::{Fp64, Poly, RandomSource};
+use spfe_math::{Fp64, Poly, RandomSource, SharedRng};
 use spfe_transport::{
-    Channel, ChannelExt, ClientCore, OutMsg, ProtocolError, Reader, SessionCore, SessionState,
-    Wire, WireError,
+    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
+    RoundServer, ServerRounds, Wire, WireError,
 };
+use std::borrow::Cow;
 
 /// The function being evaluated, in a representation the protocol can
 /// arithmetize.
@@ -400,9 +401,111 @@ where
     }
 }
 
-/// Runs the full 1-round protocol over a metered transcript. With
-/// `shared_seed = Some(s)` the servers add the \[25\]-style blinding (the
-/// client then learns *only* `f(x_I)` — symmetric privacy).
+/// The protocol's single exchange: one block of curve points to each
+/// server, one field element back.
+pub const EXCHANGES: &[Exchange] = &[Exchange::new(
+    "multiserver",
+    "ms-query",
+    "ms-answer",
+    "server-eval",
+)];
+
+/// Server `h` of the Theorem 2 multi-server SPFE, optionally adding the
+/// servers' shared blinding polynomial (symmetric privacy).
+#[derive(Debug)]
+pub struct MsServer<'a> {
+    index: usize,
+    params: MultiServerParams,
+    db: Cow<'a, [u64]>,
+    blind: Option<Poly>,
+}
+
+impl<'a> MsServer<'a> {
+    /// Server `index` holding `db`; `blind` is the shared blinding
+    /// polynomial, if the servers blind their answers.
+    pub fn new(
+        index: usize,
+        params: MultiServerParams,
+        db: impl Into<Cow<'a, [u64]>>,
+        blind: Option<Poly>,
+    ) -> Self {
+        MsServer {
+            index,
+            params,
+            db: db.into(),
+            blind,
+        }
+    }
+}
+
+impl ServerRounds for MsServer<'_> {
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        let query = MsQuery::from_bytes(query)?;
+        let blind = self.blind.as_ref().map(|r| (r, self.index));
+        Ok(server_answer(&self.params, &self.db, &query, blind)?.to_bytes())
+    }
+}
+
+/// Client half of the Theorem 2 protocol: one query per server,
+/// interpolation once every answer arrived.
+#[derive(Debug)]
+pub struct MsClient<R> {
+    params: MultiServerParams,
+    indices: Vec<usize>,
+    rng: R,
+    result: Option<u64>,
+}
+
+impl<R: RandomSource> MsClient<R> {
+    /// A client evaluating the configured function on `indices`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when the queries are built) if the index count mismatches
+    /// the function arity or an index does not fit in `ℓ` bits.
+    pub fn new(params: MultiServerParams, indices: &[usize], rng: R) -> Self {
+        MsClient {
+            params,
+            indices: indices.to_vec(),
+            rng,
+            result: None,
+        }
+    }
+}
+
+impl<R: RandomSource> ClientRounds for MsClient<R> {
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn queries(&mut self, _step: usize) -> Result<Option<Queries>, ProtocolError> {
+        let queries = client_queries(&self.params, &self.indices, &mut self.rng);
+        Ok(Some(
+            queries.iter().map(Wire::to_bytes).enumerate().collect(),
+        ))
+    }
+
+    fn absorb(&mut self, _step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        let answers: Vec<u64> = replies
+            .iter()
+            .map(|r| u64::from_bytes(r))
+            .collect::<Result<_, _>>()?;
+        self.result = Some(client_reconstruct(&self.params, &answers));
+        Ok(())
+    }
+
+    fn digest(&self) -> Option<u64> {
+        self.result
+    }
+}
+
+/// Runs the Theorem 2 protocol over a metered channel (with
+/// `shared_seed`, the servers blind their answers so the client then
+/// learns *only* `f(x_I)` — symmetric privacy).
 ///
 /// # Errors
 ///
@@ -421,40 +524,15 @@ pub fn run<R: RandomSource + ?Sized>(
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
     assert_eq!(t.num_servers(), params.num_servers(), "server count");
-    let _proto = spfe_obs::span("multiserver");
-    let queries = {
-        let _s = spfe_obs::span("query-gen");
-        client_queries(params, indices, rng)
-    };
-    let received: Vec<MsQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "ms-query", q))
-        .collect::<Result<_, _>>()?;
-    // Each server's evaluation is independent and (given the shared seed)
-    // deterministic, so compute all answers on the worker pool…
-    let jobs: Vec<(usize, &MsQuery)> = received.iter().enumerate().collect();
-    let computed: Vec<u64> = {
-        let _s = spfe_obs::span("server-eval");
-        par_map_cost(CostClass::Heavy, &jobs, |&(h, q)| match shared_seed {
-            None => server_answer(params, db, q, None),
-            Some(seed) => {
-                let mut server_rng = spfe_crypto::ChaChaRng::from_u64_seed(seed);
-                let blind = blinding_poly(params, &mut server_rng);
-                server_answer(params, db, q, Some((&blind, h)))
-            }
-        })
-        .into_iter()
-        .collect::<Result<_, _>>()?
-    };
-    // …and meter the replies serially in server order.
-    let answers: Vec<u64> = computed
-        .iter()
-        .enumerate()
-        .map(|(h, &a)| t.server_to_client(h, "ms-answer", &a))
-        .collect::<Result<_, _>>()?;
-    let _s = spfe_obs::span("reconstruct");
-    Ok(client_reconstruct(params, &answers))
+    // Every server derives the same R from the common random input.
+    let blind = shared_seed
+        .map(|seed| blinding_poly(params, &mut spfe_crypto::ChaChaRng::from_u64_seed(seed)));
+    let rng = SharedRng::new(rng);
+    let mut client = RoundClient::new(MsClient::new(params.clone(), indices, &rng));
+    let mut servers: Vec<_> = (0..params.num_servers())
+        .map(|h| RoundServer::new(h, MsServer::new(h, params.clone(), db, blind.clone())))
+        .collect();
+    pump(t, &mut client, &mut servers)
 }
 
 /// The §4 "package": answers the *same* queries against both `x` and the
@@ -563,184 +641,6 @@ pub fn run_many_databases<R: RandomSource + ?Sized>(
         .iter()
         .map(|answers| client_reconstruct(params, answers))
         .collect())
-}
-
-/// Like [`run`], but forces the (independent) server evaluations onto the
-/// worker pool even below the sequential-fallback threshold — the
-/// deployment reality the paper assumes, where each replica is its own
-/// machine. Communication accounting is identical to the sequential run;
-/// only wall-clock changes.
-///
-/// # Errors / Panics
-///
-/// Same contract as [`run`].
-pub fn run_parallel<R: RandomSource + ?Sized>(
-    t: &mut dyn Channel,
-    params: &MultiServerParams,
-    db: &[u64],
-    indices: &[usize],
-    rng: &mut R,
-) -> Result<u64, ProtocolError> {
-    assert_eq!(t.num_servers(), params.num_servers(), "server count");
-    let _proto = spfe_obs::span("multiserver-par");
-    let queries = client_queries(params, indices, rng);
-    let received: Vec<MsQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "ms-query", q))
-        .collect::<Result<_, _>>()?;
-    // Every server computes concurrently (min_len 1 bypasses the
-    // sequential-fallback threshold)…
-    let computed: Vec<u64> =
-        spfe_math::par::par_map_min(1, &received, |q| server_answer(params, db, q, None))
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-    // …and the replies are metered as usual.
-    let answers: Vec<u64> = computed
-        .iter()
-        .enumerate()
-        .map(|(h, &a)| t.server_to_client(h, "ms-answer", &a))
-        .collect::<Result<_, _>>()?;
-    Ok(client_reconstruct(params, &answers))
-}
-
-// ---------------------------------------------------------------------------
-// Sans-io state machines (DESIGN.md §15) for the unblinded configuration
-// the conformance harness runs (`shared_seed = None`). They call the same
-// client_queries/server_answer/client_reconstruct as the monolithic
-// [`run`], so every transport yields identical bytes and op counts.
-// ---------------------------------------------------------------------------
-
-/// Server `h` of the Theorem 2 multi-server SPFE as a sans-io machine.
-#[derive(Debug)]
-pub struct MsServerCore {
-    index: usize,
-    params: MultiServerParams,
-    db: Vec<u64>,
-    answered: bool,
-}
-
-impl MsServerCore {
-    /// A core for server `index` holding `db` under `params`.
-    pub fn new(index: usize, params: MultiServerParams, db: Vec<u64>) -> Self {
-        MsServerCore {
-            index,
-            params,
-            db,
-            answered: false,
-        }
-    }
-}
-
-impl SessionCore for MsServerCore {
-    fn on_message(
-        &mut self,
-        _half_round: u32,
-        _server: usize,
-        label: &str,
-        payload: &[u8],
-    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "ms-query" || self.answered {
-            return Err(ProtocolError::InvalidMessage {
-                label: "ms-query",
-                reason: "unexpected message for a multiserver server",
-            });
-        }
-        let query = MsQuery::from_bytes(payload)?;
-        let answer = server_answer(&self.params, &self.db, &query, None)?;
-        self.answered = true;
-        Ok((
-            SessionState::Done,
-            vec![OutMsg::to_client(
-                self.index,
-                "ms-answer",
-                answer.to_bytes(),
-            )],
-        ))
-    }
-}
-
-/// Client half of the Theorem 2 protocol: all `k` queries at start,
-/// interpolation once every answer arrived.
-#[derive(Debug)]
-pub struct MsClientCore {
-    params: MultiServerParams,
-    queries: Option<Vec<MsQuery>>,
-    answers: Vec<Option<u64>>,
-    result: Option<u64>,
-}
-
-impl MsClientCore {
-    /// A client core evaluating the configured function on `indices`; the
-    /// random curves are drawn here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index count mismatches the function arity or an
-    /// index does not fit in `ℓ` bits.
-    pub fn new<R: RandomSource + ?Sized>(
-        params: MultiServerParams,
-        indices: &[usize],
-        rng: &mut R,
-    ) -> Self {
-        let queries = client_queries(&params, indices, rng);
-        let k = params.num_servers();
-        MsClientCore {
-            params,
-            queries: Some(queries),
-            answers: vec![None; k],
-            result: None,
-        }
-    }
-}
-
-impl SessionCore for MsClientCore {
-    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        let queries = self.queries.take().ok_or(ProtocolError::InvalidMessage {
-            label: "ms-query",
-            reason: "multiserver client core started twice",
-        })?;
-        Ok((
-            SessionState::Running,
-            queries
-                .iter()
-                .enumerate()
-                .map(|(h, q)| OutMsg::to_server(h, "ms-query", q.to_bytes()))
-                .collect(),
-        ))
-    }
-
-    fn on_message(
-        &mut self,
-        _half_round: u32,
-        server: usize,
-        label: &str,
-        payload: &[u8],
-    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "ms-answer" || server >= self.answers.len() || self.answers[server].is_some() {
-            return Err(ProtocolError::InvalidMessage {
-                label: "ms-answer",
-                reason: "unexpected message for the multiserver client",
-            });
-        }
-        self.answers[server] = Some(u64::from_bytes(payload)?);
-        if self.answers.iter().all(Option::is_some) {
-            let answers: Vec<u64> = self.answers.iter().map(|a| a.unwrap()).collect();
-            self.result = Some(client_reconstruct(&self.params, &answers));
-            return Ok((SessionState::Done, Vec::new()));
-        }
-        Ok((SessionState::Running, Vec::new()))
-    }
-}
-
-impl ClientCore for MsClientCore {
-    fn digest(&self) -> Option<u64> {
-        self.result
-    }
-
-    fn static_label(&self, label: &str) -> Option<&'static str> {
-        (label == "ms-answer").then_some("ms-answer")
-    }
 }
 
 #[cfg(test)]
@@ -910,14 +810,25 @@ mod tests {
 
     #[test]
     fn parallel_run_matches_sequential() {
-        let mut rng = XorShiftRng::new(22);
+        // The client's per-server curve evaluations fan out across the
+        // worker pool; forcing the pool on must not change the answer or
+        // the transcript.
         let db: Vec<u64> = (0..64u64).map(|i| i + 7).collect();
         let params = MultiServerParams::new(db.len(), 2, field(), MsFunction::Sum { m: 3 });
         let idx = [0usize, 32, 63];
-        let mut tr = Transcript::new(params.num_servers());
-        let got = run_parallel(&mut tr, &params, &db, &idx, &mut rng).unwrap();
-        assert_eq!(got, db[0] + db[32] + db[63]);
-        assert_eq!(tr.report().half_rounds, 2);
+        let run_with = |threads: usize| {
+            spfe_math::par::set_threads(Some(threads));
+            spfe_math::par::set_seq_threshold(Some(1));
+            let mut tr = Transcript::new(params.num_servers());
+            let got = run(&mut tr, &params, &db, &idx, None, &mut XorShiftRng::new(22)).unwrap();
+            spfe_math::par::set_seq_threshold(None);
+            spfe_math::par::set_threads(None);
+            (got, tr.report())
+        };
+        let (serial, parallel) = (run_with(1), run_with(4));
+        assert_eq!(serial.0, db[0] + db[32] + db[63]);
+        assert_eq!(parallel, serial);
+        assert_eq!(serial.1.half_rounds, 2);
     }
 
     #[test]

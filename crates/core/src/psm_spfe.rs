@@ -27,12 +27,16 @@ use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::{ChaChaRng, SchnorrGroup};
 #[cfg(test)]
 use spfe_math::Fp64;
-use spfe_math::RandomSource;
-use spfe_mpc::garble::{self, Label};
+use spfe_math::{RandomSource, SharedRng};
+use spfe_mpc::garble::{self, GarbledCircuit, Label};
 use spfe_mpc::psm;
 use spfe_pir::poly_it::{self, PolyItParams};
 use spfe_pir::spir::{self, SpirParams, SpirQuery, SpirWordsAnswer};
-use spfe_transport::{Channel, ChannelExt, ProtocolError};
+use spfe_transport::{
+    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, RoundClient,
+    RoundServer, ServerRounds, Wire,
+};
+use std::borrow::Cow;
 
 /// Packs a label into two little-endian u64 words.
 fn label_to_words(l: &Label) -> [u64; 2] {
@@ -48,6 +52,180 @@ fn words_to_label(w: &[u64]) -> Label {
     out[..8].copy_from_slice(&w[0].to_le_bytes());
     out[8..].copy_from_slice(&w[1].to_le_bytes());
     out
+}
+
+/// The protocol's single exchange: one SPIR query per slot up; `p₀` (the
+/// garbled circuit) with every slot's SPIR answer down.
+pub const YAO_PSM: &[Exchange] = &[Exchange::new(
+    "psm-yao",
+    "psm-spir-queries",
+    "psm-p0-and-answers",
+    "server-eval",
+)];
+
+/// Server half of [`run_yao_psm`]: garbles `f` from fresh randomness (the
+/// PSM common random input), builds each player's virtual database of
+/// input-label bundles, and answers the SPIR queries.
+#[derive(Debug)]
+pub struct YaoPsmServer<'a, P, R> {
+    params: SpirParams,
+    pk: &'a P,
+    db: Cow<'a, [u64]>,
+    circuit: Circuit,
+    item_bits: usize,
+    rng: R,
+}
+
+impl<'a, P: HomomorphicPk, R: RandomSource> YaoPsmServer<'a, P, R> {
+    /// A server holding `db`, evaluating `circuit` over `item_bits`-bit
+    /// items.
+    pub fn new(
+        group: &SchnorrGroup,
+        pk: &'a P,
+        db: impl Into<Cow<'a, [u64]>>,
+        circuit: Circuit,
+        item_bits: usize,
+        rng: R,
+    ) -> Self {
+        let db = db.into();
+        YaoPsmServer {
+            params: SpirParams::new(group.clone(), db.len()),
+            pk,
+            db,
+            circuit,
+            item_bits,
+            rng,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, R: RandomSource> ServerRounds for YaoPsmServer<'_, P, R> {
+    fn exchanges(&self) -> &[Exchange] {
+        YAO_PSM
+    }
+
+    fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        let queries = Vec::<SpirQuery>::from_bytes(query)?;
+        if queries.len() * self.item_bits != self.circuit.num_inputs() {
+            return Err(ProtocolError::InvalidMessage {
+                label: "psm-spir-queries",
+                reason: "query count does not match the circuit arity",
+            });
+        }
+        let mut seed = [0u8; 32];
+        self.rng.fill_bytes(&mut seed);
+        let (garbled, secrets) = garble::garble(&self.circuit, seed);
+        let answers: Vec<SpirWordsAnswer> = queries
+            .iter()
+            .enumerate()
+            .map(|(j, q)| {
+                let vdb: Vec<Vec<u64>> = self
+                    .db
+                    .iter()
+                    .map(|&x| {
+                        let mut words = Vec::with_capacity(2 * self.item_bits);
+                        for b in 0..self.item_bits {
+                            let bit = (x >> b) & 1 == 1;
+                            let label = secrets.input_label(j * self.item_bits + b, bit);
+                            words.extend(label_to_words(&label));
+                        }
+                        words
+                    })
+                    .collect();
+                spir::server_answer_words(&self.params, self.pk, &vdb, q, &mut self.rng)
+            })
+            .collect::<Result<_, _>>()?;
+        Ok((garbled, answers).to_bytes())
+    }
+}
+
+/// Client (referee) half of [`run_yao_psm`]: retrieves one label bundle
+/// per slot and evaluates the garbled circuit.
+#[derive(Debug)]
+pub struct YaoPsmClient<'a, P, S, R> {
+    params: SpirParams,
+    pk: &'a P,
+    sk: &'a S,
+    indices: Vec<usize>,
+    circuit: Circuit,
+    item_bits: usize,
+    rng: R,
+    states: Vec<spir::SpirClientState>,
+    result: Option<u64>,
+}
+
+impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> YaoPsmClient<'a, P, S, R> {
+    /// A client evaluating `circuit` on the `item_bits`-bit items at
+    /// `indices` of an `n`-item database.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        group: &SchnorrGroup,
+        pk: &'a P,
+        sk: &'a S,
+        n: usize,
+        indices: &[usize],
+        circuit: Circuit,
+        item_bits: usize,
+        rng: R,
+    ) -> Self {
+        YaoPsmClient {
+            params: SpirParams::new(group.clone(), n),
+            pk,
+            sk,
+            indices: indices.to_vec(),
+            circuit,
+            item_bits,
+            rng,
+            states: Vec::new(),
+            result: None,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> ClientRounds
+    for YaoPsmClient<'_, P, S, R>
+{
+    fn exchanges(&self) -> &[Exchange] {
+        YAO_PSM
+    }
+
+    fn queries(&mut self, _step: usize) -> Result<Option<Queries>, ProtocolError> {
+        let mut queries = Vec::with_capacity(self.indices.len());
+        for &i in &self.indices {
+            let (q, st) = spir::client_query(&self.params, self.pk, i, &mut self.rng);
+            queries.push(q);
+            self.states.push(st);
+        }
+        Ok(Some(vec![(0, queries.to_bytes())]))
+    }
+
+    fn absorb(&mut self, _step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        const BAD: ProtocolError = ProtocolError::InvalidMessage {
+            label: "psm-p0-and-answers",
+            reason: "reply inconsistent with circuit",
+        };
+        let (garbled, answers) = <(GarbledCircuit, Vec<SpirWordsAnswer>)>::from_bytes(&replies[0])?;
+        if answers.len() != self.states.len() || !garble::is_well_formed(&self.circuit, &garbled) {
+            return Err(BAD);
+        }
+        let mut labels = Vec::with_capacity(self.states.len() * self.item_bits);
+        for (st, a) in self.states.iter().zip(&answers) {
+            let words = spir::client_decode_words(&self.params, self.pk, self.sk, st, a)?;
+            if words.len() != 2 * self.item_bits {
+                return Err(BAD);
+            }
+            for b in 0..self.item_bits {
+                labels.push(words_to_label(&words[2 * b..2 * b + 2]));
+            }
+        }
+        let out = psm::yao::referee(&self.circuit, &garbled, &labels);
+        self.result = Some(spfe_mpc::yao2pc::from_bits(&out));
+        Ok(())
+    }
+
+    fn digest(&self) -> Option<u64> {
+        self.result
+    }
 }
 
 /// Single-server, computationally secure PSM-SPFE (Corollary 4(1)).
@@ -90,73 +268,12 @@ where
         db.iter().all(|&v| v < (1u64 << item_bits)),
         "database value exceeds item width"
     );
-
-    let _proto = spfe_obs::span("psm-yao");
-
-    // Round 1, client → server: one SPIR query per slot.
-    let params = SpirParams::new(group.clone(), db.len());
-    let (queries, states) = {
-        let _s = spfe_obs::span("query-gen");
-        let mut queries = Vec::with_capacity(m);
-        let mut states = Vec::with_capacity(m);
-        for &i in indices {
-            let (q, st) = spir::client_query(&params, pk, i, rng);
-            queries.push(q);
-            states.push(st);
-        }
-        (queries, states)
-    };
-    let queries: Vec<SpirQuery> = t.client_to_server(0, "psm-spir-queries", &queries)?;
-
-    // Server: garble f from fresh randomness (the PSM common random input),
-    // build each player's virtual database of input-label bundles, answer
-    // the SPIR queries, and attach p₀ = the garbled circuit.
-    let _se = spfe_obs::span("server-eval");
-    let mut seed = [0u8; 32];
-    rng.fill_bytes(&mut seed);
-    let (garbled, secrets) = garble::garble(circuit, seed);
-    let answers: Vec<SpirWordsAnswer> = queries
-        .iter()
-        .enumerate()
-        .map(|(j, q)| {
-            let vdb: Vec<Vec<u64>> = (0..db.len())
-                .map(|i| {
-                    let mut words = Vec::with_capacity(2 * item_bits);
-                    for b in 0..item_bits {
-                        let bit = (db[i] >> b) & 1 == 1;
-                        let label = secrets.input_label(j * item_bits + b, bit);
-                        words.extend(label_to_words(&label));
-                    }
-                    words
-                })
-                .collect();
-            spir::server_answer_words(&params, pk, &vdb, q, rng)
-        })
-        .collect::<Result<_, _>>()?;
-    drop(_se);
-    let (garbled, answers) = t.server_to_client(0, "psm-p0-and-answers", &(garbled, answers))?;
-
-    // Client (referee): decode labels, evaluate the garbled circuit.
-    const BAD: ProtocolError = ProtocolError::InvalidMessage {
-        label: "psm-p0-and-answers",
-        reason: "reply inconsistent with circuit",
-    };
-    let _s = spfe_obs::span("reconstruct");
-    if answers.len() != states.len() || !garble::is_well_formed(circuit, &garbled) {
-        return Err(BAD);
-    }
-    let mut labels = Vec::with_capacity(m * item_bits);
-    for (st, a) in states.iter().zip(&answers) {
-        let words = spir::client_decode_words(&params, pk, sk, st, a)?;
-        if words.len() != 2 * item_bits {
-            return Err(BAD);
-        }
-        for b in 0..item_bits {
-            labels.push(words_to_label(&words[2 * b..2 * b + 2]));
-        }
-    }
-    let out = psm::yao::referee(circuit, &garbled, &labels);
-    Ok(spfe_mpc::yao2pc::from_bits(&out))
+    let rng = SharedRng::new(rng);
+    let n = db.len();
+    let client = YaoPsmClient::new(group, pk, sk, n, indices, circuit.clone(), item_bits, &rng);
+    let mut client = RoundClient::new(client);
+    let server = YaoPsmServer::new(group, pk, db, circuit.clone(), item_bits, &rng);
+    pump(t, &mut client, &mut [RoundServer::new(0, server)])
 }
 
 /// `k`-server perfectly secure PSM-SPFE for the **sum** function

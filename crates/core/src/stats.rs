@@ -16,12 +16,18 @@
 //!   selection, one extra round of blinded, permuted comparisons; the
 //!   client counts decryptions ≡ 0.
 
-use crate::input_select::{SharesModP, STAT_SECURITY_BITS};
+use crate::input_select::{
+    OnShares, ShareClient, SharePhase, ShareServer, SharesModP, STAT_SECURITY_BITS,
+};
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
-use spfe_math::{Fp64, Nat, Poly, RandomSource};
-use spfe_pir::batched;
-use spfe_transport::{Channel, ChannelExt, ProtocolError};
+use spfe_math::{Fp64, Nat, Poly, RandomSource, SharedRng};
+use spfe_pir::{batched, spir};
+use spfe_transport::{
+    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, RoundClient,
+    RoundServer, ServerRounds, Wire,
+};
+use std::borrow::Cow;
 
 /// Encrypts the blinded functional value `Σ-term + p·(R+1)` so the client
 /// learns exactly the mod-`p` value.
@@ -88,6 +94,238 @@ fn functional_reply<P: HomomorphicPk, R: RandomSource + ?Sized>(
     Ok(pk.ciphertext_to_bytes(&total))
 }
 
+/// The protocol's exchanges: batched SPIR queries plus the encrypted
+/// functional coefficients up, the masked answers plus the functional
+/// reply down; then — only when cuckoo placement left indices over — one
+/// full-database SPIR per leftover against the same masked database.
+pub const WEIGHTED_SUM: &[Exchange] = &[
+    Exchange::new("weighted-sum", "wsum-query", "wsum-answer", "server-eval"),
+    Exchange::new(
+        "weighted-sum",
+        "wsum-fallback-q",
+        "wsum-fallback-a",
+        "server-eval",
+    ),
+];
+
+/// Server half of [`weighted_sum`]: masks the database with a fresh
+/// degree-`(m−1)` polynomial `P_s` and answers the batched SPIR plus the
+/// functional.
+#[derive(Debug)]
+pub struct WeightedSumServer<'a, P, R> {
+    group: SchnorrGroup,
+    pk: &'a P,
+    db: Cow<'a, [u64]>,
+    field: Fp64,
+    m: usize,
+    rng: R,
+    s_poly: Option<Poly>,
+}
+
+impl<'a, P: HomomorphicPk, R: RandomSource> WeightedSumServer<'a, P, R> {
+    /// A server holding `db` that serves `m`-item weighted sums over
+    /// `field`.
+    pub fn new(
+        group: SchnorrGroup,
+        pk: &'a P,
+        db: impl Into<Cow<'a, [u64]>>,
+        field: Fp64,
+        m: usize,
+        rng: R,
+    ) -> Self {
+        WeightedSumServer {
+            group,
+            pk,
+            db: db.into(),
+            field,
+            m,
+            rng,
+            s_poly: None,
+        }
+    }
+
+    /// The database masked by `P_s`.
+    fn masked<'s>(&'s self, s_poly: &'s Poly) -> impl Iterator<Item = u64> + 's {
+        let field = self.field;
+        (self.db.iter().enumerate()).map(move |(i, &x)| field.add(x, s_poly.eval(i as u64)))
+    }
+}
+
+impl<P: HomomorphicPk, R: RandomSource> ServerRounds for WeightedSumServer<'_, P, R> {
+    fn exchanges(&self) -> &[Exchange] {
+        WEIGHTED_SUM
+    }
+
+    fn answer(&mut self, step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        let (pk, field) = (self.pk, self.field);
+        if step == 0 {
+            let (queries, coeff_cts) = <(batched::BatchedQuery, Vec<Vec<u8>>)>::from_bytes(query)?;
+            let s_poly = Poly::random(self.m.saturating_sub(1), field, &mut self.rng);
+            let words: Vec<Vec<u64>> = self.masked(&s_poly).map(|v| vec![v]).collect();
+            let group = &self.group;
+            let answers = batched::server_answer_words(group, pk, &words, &queries, &mut self.rng)?;
+            drop(words);
+            let label = "wsum-query";
+            let func = functional_reply(pk, field, &s_poly, &coeff_cts, label, &mut self.rng)?;
+            self.s_poly = Some(s_poly);
+            return Ok((answers, func).to_bytes());
+        }
+        let s_poly = self
+            .s_poly
+            .as_ref()
+            .expect("the first exchange precedes fallbacks");
+        let masked: Vec<u64> = self.masked(s_poly).collect();
+        let params = spir::SpirParams::new(self.group.clone(), self.db.len());
+        let answers: Vec<spir::SpirAnswer> = Vec::<spir::SpirQuery>::from_bytes(query)?
+            .iter()
+            .map(|fq| spir::server_answer(&params, pk, &masked, fq, &mut self.rng))
+            .collect::<Result<_, _>>()?;
+        Ok(answers.to_bytes())
+    }
+}
+
+/// Client half of [`weighted_sum`]: learns `Σ w_j·x_{i_j} mod p` and
+/// nothing else.
+#[derive(Debug)]
+pub struct WeightedSumClient<'a, P, S, R> {
+    group: SchnorrGroup,
+    pk: &'a P,
+    sk: &'a S,
+    n: usize,
+    indices: Vec<usize>,
+    weights: Vec<u64>,
+    field: Fp64,
+    rng: R,
+    state: Option<batched::BatchedClientState>,
+    fallbacks: Vec<spir::SpirClientState>,
+    retrieved: Vec<Vec<u64>>,
+    func: Vec<u8>,
+    result: Option<u64>,
+}
+
+impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> WeightedSumClient<'a, P, S, R> {
+    /// A client computing the `weights`-weighted sum of the items at
+    /// `indices` of an `n`-item database, over `field`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn new(
+        group: SchnorrGroup,
+        pk: &'a P,
+        sk: &'a S,
+        n: usize,
+        indices: &[usize],
+        weights: &[u64],
+        field: Fp64,
+        rng: R,
+    ) -> Self {
+        WeightedSumClient {
+            group,
+            pk,
+            sk,
+            n,
+            indices: indices.to_vec(),
+            weights: weights.to_vec(),
+            field,
+            rng,
+            state: None,
+            fallbacks: Vec::new(),
+            retrieved: Vec::new(),
+            func: Vec::new(),
+            result: None,
+        }
+    }
+
+    /// `Σ w_j·x'_{i_j} − Σ w_j·P_s(i_j)`, once every item is retrieved.
+    fn finish(&mut self) -> Result<(), ProtocolError> {
+        const BAD_FUNC: ProtocolError = ProtocolError::InvalidMessage {
+            label: "wsum-answer",
+            reason: "malformed functional reply",
+        };
+        let field = self.field;
+        let masked_sum = self
+            .retrieved
+            .iter()
+            .zip(&self.weights)
+            .fold(0u64, |acc, (v, &w)| {
+                field.add(acc, field.mul(field.from_u64(w), v[0]))
+            });
+        let func = self.pk.ciphertext_from_bytes(&self.func).ok_or(BAD_FUNC)?;
+        let func_val = self.sk.decrypt(&func);
+        let mask_sum = func_val
+            .rem(&Nat::from(field.modulus()))
+            .to_u64()
+            .ok_or(BAD_FUNC)?;
+        self.result = Some(field.sub(masked_sum, mask_sum));
+        Ok(())
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> ClientRounds
+    for WeightedSumClient<'_, P, S, R>
+{
+    fn exchanges(&self) -> &[Exchange] {
+        WEIGHTED_SUM
+    }
+
+    fn queries(&mut self, step: usize) -> Result<Option<Queries>, ProtocolError> {
+        let (pk, field) = (self.pk, self.field);
+        if step == 0 {
+            let (queries, state) =
+                batched::client_query(&self.group, pk, self.n, &self.indices, &mut self.rng);
+            self.state = Some(state);
+            let coeff_cts: Vec<Vec<u8>> = functional_coeffs(field, &self.indices, &self.weights)
+                .iter()
+                .map(|&c| pk.ciphertext_to_bytes(&pk.encrypt(&Nat::from(c), &mut self.rng)))
+                .collect();
+            return Ok(Some(vec![(0, (queries, coeff_cts).to_bytes())]));
+        }
+        let state = self
+            .state
+            .as_ref()
+            .expect("batched queries precede fallbacks");
+        if state.leftovers.is_empty() {
+            return Ok(None);
+        }
+        let params = spir::SpirParams::new(self.group.clone(), self.n);
+        let mut queries = Vec::with_capacity(state.leftovers.len());
+        for &q in &state.leftovers {
+            let (fq, fst) = spir::client_query(&params, pk, self.indices[q], &mut self.rng);
+            queries.push(fq);
+            self.fallbacks.push(fst);
+        }
+        Ok(Some(vec![(0, queries.to_bytes())]))
+    }
+
+    fn absorb(&mut self, step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        let state = self.state.as_ref().expect("queries precede answers");
+        if step == 0 {
+            let (answers, func) = <(Vec<spir::SpirWordsAnswer>, Vec<u8>)>::from_bytes(&replies[0])?;
+            self.retrieved = batched::client_decode_words(self.pk, self.sk, state, &answers, 1)?;
+            self.func = func;
+            return if state.leftovers.is_empty() {
+                self.finish()
+            } else {
+                Ok(())
+            };
+        }
+        let answers = Vec::<spir::SpirAnswer>::from_bytes(&replies[0])?;
+        if answers.len() != self.fallbacks.len() {
+            return Err(ProtocolError::InvalidMessage {
+                label: "wsum-fallback-a",
+                reason: "answer count does not match query count",
+            });
+        }
+        let params = spir::SpirParams::new(self.group.clone(), self.n);
+        for ((&q, st), a) in state.leftovers.iter().zip(&self.fallbacks).zip(&answers) {
+            self.retrieved[q] = vec![spir::client_decode(&params, self.pk, self.sk, st, a)?];
+        }
+        self.finish()
+    }
+
+    fn digest(&self) -> Option<u64> {
+        self.result
+    }
+}
+
 /// The §4 one-round weighted-sum protocol: returns
 /// `Σ_j weights[j] · x_{indices[j]} mod p`.
 ///
@@ -124,115 +362,23 @@ where
     assert!(p > db.len() as u64, "field must exceed n");
     assert!(db.iter().all(|&v| v < p), "db value exceeds field");
     check_capacity(pk, p, m);
-    let _proto = spfe_obs::span("weighted-sum");
-
-    // Client message: batched SPIR queries + encrypted coefficients.
-    let _qg = spfe_obs::span("query-gen");
-    let (queries, state) = batched::client_query(group, pk, db.len(), indices, rng);
-    let coeffs = functional_coeffs(field, indices, weights);
-    let coeff_cts: Vec<Vec<u8>> = coeffs
-        .iter()
-        .map(|&c| pk.ciphertext_to_bytes(&pk.encrypt(&Nat::from(c), rng)))
-        .collect();
-    let (queries, coeff_cts) = t.client_to_server(0, "wsum-query", &(queries, coeff_cts))?;
-    drop(_qg);
-
-    // Server: mask the database, answer SPIR + the functional.
-    let _se = spfe_obs::span("server-eval");
-    let s_poly = Poly::random(m.saturating_sub(1), field, rng);
-    let masked: Vec<Vec<u64>> = db
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| vec![field.add(x, s_poly.eval(i as u64))])
-        .collect();
-    let answers = batched::server_answer_words(group, pk, &masked, &queries, rng)?;
-    let func = functional_reply(pk, field, &s_poly, &coeff_cts, "wsum-query", rng)?;
-    let (answers, func) = t.server_to_client(0, "wsum-answer", &(answers, func))?;
-    drop(_se);
-
-    // Client: Σ w_j·x'_{i_j} − Σ w_j·P_s(i_j).
-    let _s = spfe_obs::span("reconstruct");
-    let mut retrieved = batched::client_decode_words(pk, sk, &state, &answers, 1)?;
-    // Fallback leftovers (rare): a second plain exchange.
-    if !state.leftovers.is_empty() {
-        let flat: Vec<u64> = masked_fallback(
-            t,
-            group,
-            pk,
-            sk,
-            db,
-            &s_poly,
-            field,
-            indices,
-            &state.leftovers,
-            rng,
-        )?;
-        for (&q, v) in state.leftovers.iter().zip(flat) {
-            retrieved[q] = vec![v];
-        }
-    }
-    let masked_sum = retrieved.iter().zip(weights).fold(0u64, |acc, (v, &w)| {
-        field.add(acc, field.mul(field.from_u64(w), v[0]))
-    });
-    const BAD_FUNC: ProtocolError = ProtocolError::InvalidMessage {
-        label: "wsum-answer",
-        reason: "malformed functional reply",
-    };
-    let func_val = sk.decrypt(&pk.ciphertext_from_bytes(&func).ok_or(BAD_FUNC)?);
-    let mask_sum = func_val.rem(&Nat::from(p)).to_u64().ok_or(BAD_FUNC)?;
-    Ok(field.sub(masked_sum, mask_sum))
-}
-
-/// Fallback retrievals against the same masked database.
-#[allow(clippy::too_many_arguments)]
-fn masked_fallback<P, S, R>(
-    t: &mut dyn Channel,
-    group: &SchnorrGroup,
-    pk: &P,
-    sk: &S,
-    db: &[u64],
-    s_poly: &Poly,
-    field: Fp64,
-    indices: &[usize],
-    leftovers: &[usize],
-    rng: &mut R,
-) -> Result<Vec<u64>, ProtocolError>
-where
-    P: HomomorphicPk,
-    S: HomomorphicSk<P>,
-    R: RandomSource + ?Sized,
-{
-    use spfe_pir::spir;
-    let params = spfe_pir::SpirParams::new(group.clone(), db.len());
-    let mut queries = Vec::new();
-    let mut states = Vec::new();
-    for &q in leftovers {
-        let (fq, fst) = spir::client_query(&params, pk, indices[q], rng);
-        queries.push(fq);
-        states.push(fst);
-    }
-    let queries = t.client_to_server(0, "wsum-fallback-q", &queries)?;
-    let masked: Vec<u64> = db
-        .iter()
-        .enumerate()
-        .map(|(i, &x)| field.add(x, s_poly.eval(i as u64)))
-        .collect();
-    let answers: Vec<spfe_pir::SpirAnswer> = queries
-        .iter()
-        .map(|fq| spir::server_answer(&params, pk, &masked, fq, rng))
-        .collect::<Result<_, _>>()?;
-    let answers = t.server_to_client(0, "wsum-fallback-a", &answers)?;
-    if answers.len() != states.len() {
-        return Err(ProtocolError::InvalidMessage {
-            label: "wsum-fallback-a",
-            reason: "answer count does not match query count",
-        });
-    }
-    states
-        .iter()
-        .zip(&answers)
-        .map(|(st, a)| spir::client_decode(&params, pk, sk, st, a))
-        .collect()
+    let rng = SharedRng::new(rng);
+    let client = WeightedSumClient::new(
+        group.clone(),
+        pk,
+        sk,
+        db.len(),
+        indices,
+        weights,
+        field,
+        &rng,
+    );
+    let server = WeightedSumServer::new(group.clone(), pk, db, field, m, &rng);
+    pump(
+        t,
+        &mut RoundClient::new(client),
+        &mut [RoundServer::new(0, server)],
+    )
 }
 
 /// The §4 average+variance package, one round: the same batched query is
@@ -402,6 +548,161 @@ where
     Ok(count)
 }
 
+/// The frequency round's exchange: the client's blinded share
+/// ciphertexts up, the permuted comparison ciphertexts down.
+pub const FREQUENCY: Exchange = Exchange::new(
+    "frequency",
+    "freq-blinded-shares",
+    "freq-replies",
+    "server-eval",
+);
+
+/// [`frequency_multi`]'s exchange (one keyword per selected item).
+pub const FREQUENCY_MULTI: Exchange = Exchange::new(
+    "frequency-multi",
+    "freqm-blinded-shares",
+    "freqm-replies",
+    "server-eval",
+);
+
+/// Client half of the frequency round: sends `E(b_j − w_j)` and counts
+/// the replies that decrypt to `0 mod p`.
+#[derive(Debug)]
+pub struct FrequencyClient<'a, P, S> {
+    exchange: Exchange,
+    pk: &'a P,
+    sk: &'a S,
+    field: Fp64,
+    keywords: Vec<u64>,
+    count: Option<u64>,
+}
+
+impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>> FrequencyClient<'a, P, S> {
+    /// A client counting how many selected items equal `keywords[j]`
+    /// (shares mod the prime `field`) under `exchange`.
+    pub fn new(exchange: Exchange, pk: &'a P, sk: &'a S, field: Fp64, keywords: Vec<u64>) -> Self {
+        FrequencyClient {
+            exchange,
+            pk,
+            sk,
+            field,
+            keywords,
+            count: None,
+        }
+    }
+}
+
+impl<P, S> SharePhase for FrequencyClient<'_, P, S> {
+    fn exchange(&self) -> Exchange {
+        self.exchange
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>> ShareClient for FrequencyClient<'_, P, S> {
+    fn query<R: RandomSource>(
+        &mut self,
+        shares: &[u64],
+        rng: &mut R,
+    ) -> Result<Vec<u8>, ProtocolError> {
+        let (pk, field) = (self.pk, self.field);
+        let client_cts: Vec<Vec<u8>> = shares
+            .iter()
+            .zip(&self.keywords)
+            .map(|(&b, &w)| {
+                let v = field.sub(b, field.from_u64(w));
+                pk.ciphertext_to_bytes(&pk.encrypt(&Nat::from(v), rng))
+            })
+            .collect();
+        Ok(client_cts.to_bytes())
+    }
+
+    fn absorb(&mut self, reply: &[u8]) -> Result<(), ProtocolError> {
+        let replies = Vec::<Vec<u8>>::from_bytes(reply)?;
+        let p = self.field.modulus();
+        let m = self.keywords.len();
+        self.count = Some(count_zero_replies(
+            self.pk,
+            self.sk,
+            p,
+            m,
+            &replies,
+            self.exchange.reply,
+        )?);
+        Ok(())
+    }
+
+    fn digest(&self) -> Option<u64> {
+        self.count
+    }
+}
+
+/// Server half of the frequency round: blinds, scales and permutes the
+/// comparison ciphertexts against its shares.
+#[derive(Debug)]
+pub struct FrequencyServer<'a, P> {
+    exchange: Exchange,
+    pk: &'a P,
+    field: Fp64,
+}
+
+impl<'a, P: HomomorphicPk> FrequencyServer<'a, P> {
+    /// A server answering under `exchange` with shares mod the prime
+    /// `field`.
+    pub fn new(exchange: Exchange, pk: &'a P, field: Fp64) -> Self {
+        FrequencyServer {
+            exchange,
+            pk,
+            field,
+        }
+    }
+}
+
+impl<P> SharePhase for FrequencyServer<'_, P> {
+    fn exchange(&self) -> Exchange {
+        self.exchange
+    }
+}
+
+impl<P: HomomorphicPk> ShareServer for FrequencyServer<'_, P> {
+    fn answer<R: RandomSource>(
+        &mut self,
+        shares: &[u64],
+        query: &[u8],
+        rng: &mut R,
+    ) -> Result<Vec<u8>, ProtocolError> {
+        let client_cts = Vec::<Vec<u8>>::from_bytes(query)?;
+        let label = self.exchange.query;
+        Ok(frequency_replies(self.pk, self.field, shares, &client_cts, label, rng)?.to_bytes())
+    }
+}
+
+/// Pumps one frequency round on shares both parties already hold.
+fn pump_frequency<P, S, R>(
+    t: &mut dyn Channel,
+    exchange: Exchange,
+    pk: &P,
+    sk: &S,
+    shares: &SharesModP,
+    keywords: Vec<u64>,
+    rng: &mut R,
+) -> Result<u64, ProtocolError>
+where
+    P: HomomorphicPk,
+    S: HomomorphicSk<P>,
+    R: RandomSource + ?Sized,
+{
+    let m = shares.server.len();
+    assert!(m > 0 && shares.client.len() == m && keywords.len() == m);
+    let field = Fp64::new(shares.p).expect("share modulus must be prime");
+    check_capacity(pk, shares.p, m);
+    let rng = SharedRng::new(rng);
+    let client = FrequencyClient::new(exchange, pk, sk, field, keywords);
+    let mut client = RoundClient::new(OnShares::new(client, shares.client.clone(), &rng));
+    let server = FrequencyServer::new(exchange, pk, field);
+    let server = OnShares::new(server, shares.server.clone(), &rng);
+    pump(t, &mut client, &mut [RoundServer::new(0, server)])
+}
+
 /// The §4 frequency protocol: given additive shares of the selected items
 /// (from any input-selection protocol), one extra round counts how many
 /// equal `keyword`.
@@ -432,37 +733,8 @@ where
     S: HomomorphicSk<P>,
     R: RandomSource + ?Sized,
 {
-    let m = shares.server.len();
-    assert!(m > 0 && shares.client.len() == m);
-    let p = shares.p;
-    let field = Fp64::new(p).expect("share modulus must be prime");
-    check_capacity(pk, p, m);
-    let _proto = spfe_obs::span("frequency");
-
-    // Client: E((b_j − w) mod p).
-    let client_cts: Vec<Vec<u8>> = shares
-        .client
-        .iter()
-        .map(|&b| {
-            let v = field.sub(b, field.from_u64(keyword));
-            pk.ciphertext_to_bytes(&pk.encrypt(&Nat::from(v), rng))
-        })
-        .collect();
-    let client_cts = t.client_to_server(0, "freq-blinded-shares", &client_cts)?;
-
-    // Server: ρ_j·(a_j + (b_j − w)) + p·R_j, permuted.
-    let replies = frequency_replies(
-        pk,
-        field,
-        &shares.server,
-        &client_cts,
-        "freq-blinded-shares",
-        rng,
-    )?;
-    let replies = t.server_to_client(0, "freq-replies", &replies)?;
-
-    // Client: count decryptions ≡ 0 (mod p).
-    count_zero_replies(pk, sk, p, m, &replies, "freq-replies")
+    let keywords = vec![keyword; shares.server.len()];
+    pump_frequency(t, FREQUENCY, pk, sk, shares, keywords, rng)
 }
 
 /// The generalized frequency protocol with a *different keyword per
@@ -493,35 +765,7 @@ where
     S: HomomorphicSk<P>,
     R: RandomSource + ?Sized,
 {
-    let m = shares.server.len();
-    assert!(m > 0 && shares.client.len() == m && keywords.len() == m);
-    let p = shares.p;
-    let field = Fp64::new(p).expect("share modulus must be prime");
-    check_capacity(pk, p, m);
-    let _proto = spfe_obs::span("frequency-multi");
-
-    let client_cts: Vec<Vec<u8>> = shares
-        .client
-        .iter()
-        .zip(keywords)
-        .map(|(&b, &w)| {
-            let v = field.sub(b, field.from_u64(w));
-            pk.ciphertext_to_bytes(&pk.encrypt(&Nat::from(v), rng))
-        })
-        .collect();
-    let client_cts = t.client_to_server(0, "freqm-blinded-shares", &client_cts)?;
-
-    let replies = frequency_replies(
-        pk,
-        field,
-        &shares.server,
-        &client_cts,
-        "freqm-blinded-shares",
-        rng,
-    )?;
-    let replies = t.server_to_client(0, "freqm-replies", &replies)?;
-
-    count_zero_replies(pk, sk, p, m, &replies, "freqm-replies")
+    pump_frequency(t, FREQUENCY_MULTI, pk, sk, shares, keywords.to_vec(), rng)
 }
 
 #[cfg(test)]

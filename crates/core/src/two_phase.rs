@@ -15,14 +15,166 @@
 //! The end-to-end runners ([`run_select1_yao`] etc.) reproduce the four
 //! single-server Table 1 rows together with `psm_spfe`.
 
-use crate::input_select::{self, IntShares, SharesModP};
+use crate::input_select::{
+    self, IntShares, OnShares, Select1Client, Select1Server, Select1Then, ShareClient, SharePhase,
+    ShareServer, SharesModP,
+};
 use crate::statistic::Statistic;
+use spfe_circuits::boolean::Circuit;
 use spfe_circuits::builders::bits_for;
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
-use spfe_math::{Fp64, Nat, RandomSource};
+use spfe_math::{Fp64, Nat, RandomSource, SharedRng};
 use spfe_mpc::yao2pc::{self, to_bits};
-use spfe_transport::{Channel, ProtocolError};
+use spfe_transport::{pump, Channel, Exchange, ProtocolError, RoundClient, RoundServer, Wire};
+
+/// The Yao phase's exchange under the protocol span `span`: the client's
+/// OT queries up, the garbled circuit with its transfers down.
+pub const fn yao_exchange(span: &'static str) -> Exchange {
+    Exchange::new(span, "yao-query", "yao-reply", "server-eval")
+}
+
+/// Client half of Yao's protocol on shares: the client evaluates
+/// `circuit` on its share bits (plus any extra private input bits), the
+/// server garbling it with its own share bits.
+#[derive(Debug)]
+pub struct YaoClient {
+    span: &'static str,
+    group: SchnorrGroup,
+    circuit: Circuit,
+    width: usize,
+    extra: Vec<bool>,
+    state: Option<yao2pc::YaoClientState>,
+    out: Option<Vec<bool>>,
+}
+
+impl YaoClient {
+    /// A client evaluating `circuit` on its `width`-bit shares, timed
+    /// under `span`.
+    pub fn new(span: &'static str, group: SchnorrGroup, circuit: Circuit, width: usize) -> Self {
+        YaoClient {
+            span,
+            group,
+            circuit,
+            width,
+            extra: Vec::new(),
+            state: None,
+            out: None,
+        }
+    }
+
+    /// The same client with `extra` private input bits after its shares.
+    pub fn with_extra(self, extra: Vec<bool>) -> Self {
+        YaoClient { extra, ..self }
+    }
+
+    /// The circuit's output bits, once the session is done.
+    pub fn output(&self) -> Option<&[bool]> {
+        self.out.as_deref()
+    }
+}
+
+impl SharePhase for YaoClient {
+    fn exchange(&self) -> Exchange {
+        yao_exchange(self.span)
+    }
+}
+
+impl ShareClient for YaoClient {
+    fn query<R: RandomSource>(
+        &mut self,
+        shares: &[u64],
+        rng: &mut R,
+    ) -> Result<Vec<u8>, ProtocolError> {
+        let mut bits: Vec<bool> = shares
+            .iter()
+            .flat_map(|&b| to_bits(b, self.width))
+            .collect();
+        bits.extend_from_slice(&self.extra);
+        let (q, state) = yao2pc::client_query(&self.group, &bits, rng);
+        self.state = Some(state);
+        Ok(q.to_bytes())
+    }
+
+    fn absorb(&mut self, reply: &[u8]) -> Result<(), ProtocolError> {
+        let reply = yao2pc::YaoReply::from_bytes(reply)?;
+        let state = self.state.as_ref().expect("query precedes the reply");
+        self.out = Some(yao2pc::client_evaluate(
+            &self.group,
+            &self.circuit,
+            state,
+            &reply,
+        )?);
+        Ok(())
+    }
+
+    /// The (first 64) output bits as a little-endian integer.
+    fn digest(&self) -> Option<u64> {
+        let out = self.out.as_ref()?;
+        Some(yao2pc::from_bits(&out[..out.len().min(64)]))
+    }
+}
+
+/// Server half of Yao's protocol on shares: garbles `circuit` with its
+/// `width`-bit share bits as the garbler's inputs.
+#[derive(Debug)]
+pub struct YaoServer {
+    span: &'static str,
+    group: SchnorrGroup,
+    circuit: Circuit,
+    width: usize,
+}
+
+impl YaoServer {
+    /// A garbler of `circuit` on `width`-bit shares, timed under `span`.
+    pub fn new(span: &'static str, group: SchnorrGroup, circuit: Circuit, width: usize) -> Self {
+        YaoServer {
+            span,
+            group,
+            circuit,
+            width,
+        }
+    }
+}
+
+impl SharePhase for YaoServer {
+    fn exchange(&self) -> Exchange {
+        yao_exchange(self.span)
+    }
+}
+
+impl ShareServer for YaoServer {
+    fn answer<R: RandomSource>(
+        &mut self,
+        shares: &[u64],
+        query: &[u8],
+        rng: &mut R,
+    ) -> Result<Vec<u8>, ProtocolError> {
+        let query = yao2pc::YaoQuery::from_bytes(query)?;
+        let bits: Vec<bool> = shares
+            .iter()
+            .flat_map(|&a| to_bits(a, self.width))
+            .collect();
+        Ok(yao2pc::server_reply(&self.group, &self.circuit, &bits, &query, rng)?.to_bytes())
+    }
+}
+
+/// Pumps a Yao phase on shares both parties already hold; returns the
+/// output bits.
+pub(crate) fn pump_yao<R: RandomSource + ?Sized>(
+    t: &mut dyn Channel,
+    client: YaoClient,
+    server: YaoServer,
+    shares: &SharesModP,
+    rng: &mut R,
+) -> Result<Vec<bool>, ProtocolError> {
+    let rng = SharedRng::new(rng);
+    let mut client = RoundClient::new(OnShares::new(client, shares.client.clone(), &rng));
+    let server = OnShares::new(server, shares.server.clone(), &rng);
+    pump(t, &mut client, &mut [RoundServer::new(0, server)])?;
+    let out = client.inner().phase().output();
+    Ok(out.expect("pump finished the session").to_vec())
+}
 
 /// Yao MPC phase: evaluates the statistic on mod-`p` shares.
 ///
@@ -42,13 +194,26 @@ pub fn yao_phase<R: RandomSource + ?Sized>(
 ) -> Result<Vec<u64>, ProtocolError> {
     let m = shares.server.len();
     assert!(m > 0 && shares.client.len() == m);
-    let _s = spfe_obs::span("yao-phase");
-    let circuit = stat.share_circuit(m, shares.p);
-    let w = bits_for(shares.p - 1);
-    let server_bits: Vec<bool> = shares.server.iter().flat_map(|&a| to_bits(a, w)).collect();
-    let client_bits: Vec<bool> = shares.client.iter().flat_map(|&b| to_bits(b, w)).collect();
-    let out = yao2pc::run(t, group, &circuit, &server_bits, &client_bits, rng)?;
+    let (client, server) = yao_parties(
+        "yao-phase",
+        group,
+        stat.share_circuit(m, shares.p),
+        shares.p,
+    );
+    let out = pump_yao(t, client, server, shares, rng)?;
     Ok(stat.decode_bits(&out, m, shares.p))
+}
+
+/// The two halves of a Yao phase evaluating `circuit` on shares mod `p`.
+pub fn yao_parties(
+    span: &'static str,
+    group: &SchnorrGroup,
+    circuit: Circuit,
+    p: u64,
+) -> (YaoClient, YaoServer) {
+    let width = bits_for(p - 1);
+    let server = YaoServer::new(span, group.clone(), circuit.clone(), width);
+    (YaoClient::new(span, group.clone(), circuit, width), server)
 }
 
 /// §3.3.4 arithmetic MPC phase on integer shares: evaluates the statistic
@@ -112,8 +277,23 @@ where
     S: HomomorphicSk<P>,
     R: RandomSource + ?Sized,
 {
-    let shares = input_select::select1(t, group, pk, sk, db, indices, field, rng)?;
-    yao_phase(t, group, &shares, stat, rng)
+    let (m, p) = (indices.len(), field.modulus());
+    assert!(m > 0, "no indices selected");
+    assert!(db.iter().all(|&v| v < p), "db value exceeds field");
+    assert!(indices.iter().all(|&i| i < db.len()), "index out of range");
+    let (yao_client, yao_server) = yao_parties("yao-phase", group, stat.share_circuit(m, p), p);
+    let rng = SharedRng::new(rng);
+    let sel = Select1Client::new(group, pk, sk, db.len(), indices, field, &rng);
+    let mut client = RoundClient::new(Select1Then::new(sel, yao_client));
+    let sel = Select1Server::new(group, pk, db, field, m, &rng, &rng);
+    let server = Select1Then::new(sel, yao_server);
+    pump(t, &mut client, &mut [RoundServer::new(0, server)])?;
+    let out = client
+        .inner()
+        .phase()
+        .output()
+        .expect("pump finished the session");
+    Ok(stat.decode_bits(out, m, p))
 }
 
 /// §3.3.2 (variant 1) + Yao: "2 rounds / Weak, κm² overhead".

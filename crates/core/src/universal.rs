@@ -13,6 +13,7 @@
 
 use crate::input_select::SharesModP;
 use crate::statistic::Statistic;
+use crate::two_phase::{pump_yao, yao_parties, YaoClient, YaoServer};
 use spfe_circuits::boolean::{Circuit, CircuitBuilder, WireId};
 use spfe_circuits::builders::bits_for;
 use spfe_crypto::SchnorrGroup;
@@ -162,19 +163,37 @@ pub fn universal_yao_phase<R: RandomSource + ?Sized>(
     choice: usize,
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
+    let (client, server) = universal_parties(group, menu, choice, shares.server.len(), shares.p);
+    Ok(yao2pc::from_bits(&pump_yao(
+        t, client, server, shares, rng,
+    )?))
+}
+
+/// The two halves of the universal phase over `m` shares mod `p`: the
+/// server garbles the universal circuit of the public `menu`; the client
+/// adds its secret `choice` to its inputs.
+///
+/// # Panics
+///
+/// Panics if `choice >= menu.len()` (a local setup bug).
+pub fn universal_parties(
+    group: &SchnorrGroup,
+    menu: &[Statistic],
+    choice: usize,
+    m: usize,
+    p: u64,
+) -> (YaoClient, YaoServer) {
     assert!(choice < menu.len(), "choice out of menu");
-    let _s = spfe_obs::span("universal-yao-phase");
-    let m = shares.server.len();
-    let w = bits_for(shares.p - 1);
-    let circuit = universal_circuit(menu, m, shares.p);
-    let server_bits: Vec<bool> = shares.server.iter().flat_map(|&a| to_bits(a, w)).collect();
-    let sel_bits = bits_for(menu.len() as u64 - 1).max(1);
-    let mut client_bits: Vec<bool> = shares.client.iter().flat_map(|&b| to_bits(b, w)).collect();
+    let (client, server) = yao_parties(
+        "universal-yao-phase",
+        group,
+        universal_circuit(menu, m, p),
+        p,
+    );
     // The mux tree consumes selector bits LSB-first over chunked pairs:
     // entry index bit i selects within level i. Encode `choice` directly.
-    client_bits.extend(to_bits(choice as u64, sel_bits));
-    let out = yao2pc::run(t, group, &circuit, &server_bits, &client_bits, rng)?;
-    Ok(yao2pc::from_bits(&out))
+    let sel_bits = bits_for(menu.len() as u64 - 1).max(1);
+    (client.with_extra(to_bits(choice as u64, sel_bits)), server)
 }
 
 #[cfg(test)]

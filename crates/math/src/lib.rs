@@ -58,4 +58,4 @@ pub use montgomery::{FixedBasePow, Montgomery};
 pub use mpoly::MPoly;
 pub use nat::Nat;
 pub use poly::Poly;
-pub use rand_src::{RandomSource, XorShiftRng};
+pub use rand_src::{RandomSource, SharedRng, XorShiftRng};

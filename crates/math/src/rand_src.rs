@@ -52,6 +52,38 @@ impl<R: RandomSource + ?Sized> RandomSource for &mut R {
     }
 }
 
+/// One generator drawn from by several owners in turn.
+///
+/// A protocol's client and server state machines each own a
+/// [`RandomSource`]; running them in one process over a shared
+/// `&SharedRng` makes them draw from the caller's generator in exactly
+/// the order the parties act, so an in-memory run consumes the same
+/// stream as a sequential execution of both parties.
+#[derive(Debug)]
+pub struct SharedRng<'a, R: ?Sized>(std::cell::RefCell<&'a mut R>);
+
+impl<'a, R: RandomSource + ?Sized> SharedRng<'a, R> {
+    /// Shares `rng`.
+    pub fn new(rng: &'a mut R) -> Self {
+        SharedRng(std::cell::RefCell::new(rng))
+    }
+}
+
+impl<R: RandomSource + ?Sized> RandomSource for &SharedRng<'_, R> {
+    fn next_u64(&mut self) -> u64 {
+        self.0.borrow_mut().next_u64()
+    }
+    fn fill_bytes(&mut self, buf: &mut [u8]) {
+        self.0.borrow_mut().fill_bytes(buf);
+    }
+    fn next_below(&mut self, bound: u64) -> u64 {
+        self.0.borrow_mut().next_below(bound)
+    }
+    fn next_bool(&mut self) -> bool {
+        self.0.borrow_mut().next_bool()
+    }
+}
+
 /// A xorshift64* generator: fast and deterministic. **Not** cryptographically
 /// secure; use only for tests, simulations, and workload generation.
 ///

@@ -8,9 +8,8 @@
 //! Each `TARGET` is either a harness driver name (`xor2`, `hom_pir`, …)
 //! or an experiment id from the audit table (`e1`, `e2`, `e11`, …),
 //! which expands to that experiment's driver list. Every driver runs
-//! over TCP — compute mode when it has an extracted sans-io core, relay
-//! mode otherwise — and its digest is checked against the driver table's
-//! expected value. Exit status is 0 only if every run completed with the
+//! its client core over TCP against the server's cores, and its digest
+//! is checked against the driver table's expected value. Exit status is 0 only if every run completed with the
 //! right digest; on failure the exit summary breaks the failures down by
 //! [`FailureKind`]. Set `SPFE_LOG=1` for per-run JSONL log lines on
 //! stderr, mirroring the server's session logs. The leading `run`
@@ -35,7 +34,6 @@ use spfe::harness;
 use spfe_bench::audit::AUDIT_GROUPS;
 use spfe_net::{classify_failure, run_driver, StatsConn};
 use spfe_obs::metrics::{epoch_micros, FailureKind, Metrics, SessionLogRecord, SessionUsage};
-use spfe_transport::SessionMode;
 use std::time::{Duration, Instant};
 
 fn usage() -> ! {
@@ -265,10 +263,6 @@ fn main() {
             let (mode, outcome, usage) = match &run {
                 Ok(r) => {
                     let rep = r.transcript.report();
-                    let mode = match r.mode {
-                        SessionMode::Compute => "compute",
-                        SessionMode::Relay => "relay",
-                    };
                     let usage = SessionUsage {
                         bytes_in: rep.client_to_server,
                         bytes_out: rep.server_to_client,
@@ -282,7 +276,7 @@ fn main() {
                     } else {
                         Err(FailureKind::DigestMismatch)
                     };
-                    (mode, outcome, usage)
+                    ("compute", outcome, usage)
                 }
                 Err(e) => {
                     let usage = SessionUsage {

@@ -17,7 +17,7 @@
 //!
 //! `--trace PATH` turns the server's trace journal on for the process
 //! lifetime and writes it as a Perfetto JSON timeline at shutdown: one
-//! span per served session tagged `(session, driver, mode)` plus a
+//! span per served session tagged `(session, driver)` plus a
 //! Lamport-stamped instant per wire send/receive (DESIGN.md §17). Merge
 //! it with a client capture via `spfe-tables net-trace`.
 

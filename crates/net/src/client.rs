@@ -7,20 +7,18 @@
 //! stream and a sequential peer, is server order) — so the metered
 //! transcript, and hence the digest, per-label byte totals, and the
 //! `spfe-view/v1` fingerprints, are byte-identical to the in-memory run
-//! of the same core and to the monolithic driver.
+//! of the same cores.
 //!
 //! [`run_driver`] is the convenience entry point the `spfe-client` binary
-//! and the conformance matrix use: it looks the driver up in
-//! `spfe::harness`, picks compute mode when the driver has an extracted
-//! core and relay mode otherwise, and returns the digest plus the
-//! client-side transcript.
+//! and the conformance matrix use: it builds the driver's client core
+//! from `spfe::harness`, runs it against the server's cores, and returns
+//! the digest plus the client-side transcript.
 
 use spfe::harness;
 use spfe_obs::trace as journal;
 use spfe_transport::frame::{read_frame, read_frame_traced, write_frame};
 use spfe_transport::{
-    Channel, ClientCore, Direction, Frame, FrameKind, Lamport, ProtocolError, SessionMode,
-    SessionState, SocketChannel, Transcript,
+    ClientCore, Direction, Frame, FrameKind, Lamport, ProtocolError, SessionState, Transcript,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -40,8 +38,6 @@ pub struct NetRun {
     pub digest: u64,
     /// The client-side metered transcript.
     pub transcript: Transcript,
-    /// The mode the session ran in.
-    pub mode: SessionMode,
 }
 
 fn invalid(reason: &'static str) -> ProtocolError {
@@ -51,8 +47,8 @@ fn invalid(reason: &'static str) -> ProtocolError {
     }
 }
 
-/// Drives `core` over `stream` in compute mode: handshake, burst-wise
-/// message exchange, Bye. Returns the digest and the metered transcript.
+/// Drives `core` over `stream`: handshake, burst-wise message exchange,
+/// Bye. Returns the digest and the metered transcript.
 ///
 /// # Errors
 ///
@@ -65,15 +61,7 @@ pub fn run_core<S: Read + Write>(
     num_servers: usize,
     session: u64,
 ) -> Result<(u64, Transcript), ProtocolError> {
-    let hello = Frame {
-        kind: FrameKind::Hello,
-        client_to_server: true,
-        session,
-        half_round: 0,
-        server: 0,
-        label: driver.to_owned(),
-        payload: vec![SessionMode::Compute as u8],
-    };
+    let hello = Frame::control(FrameKind::Hello, true, session, driver, Vec::new());
     write_frame(&mut stream, &hello, 0, "net-hello")?;
     let ack = read_frame(&mut stream, 0, "net-hello")?;
     if ack.kind == FrameKind::Error {
@@ -88,7 +76,7 @@ pub fn run_core<S: Read + Write>(
             reason: "malformed hello acknowledgement",
         });
     }
-    spfe_obs::net_session_event(true, session, driver, SessionMode::Compute as u8);
+    spfe_obs::net_session_event(true, session, driver);
     let mut transcript = Transcript::new(num_servers);
     let mut clock = Lamport::new();
     let (mut state, mut outbox) = core.start()?;
@@ -99,32 +87,11 @@ pub fn run_core<S: Read + Write>(
             if !m.client_to_server || m.server >= num_servers {
                 return Err(invalid("client core emitted a misdirected message"));
             }
-            transcript.record_raw(
-                Direction::ClientToServer(m.server),
-                m.label,
-                m.payload.len(),
-            );
-            let frame = Frame::msg(
-                true,
-                session,
-                transcript.report().half_rounds,
-                m.server,
-                m.label,
-                m.payload,
-            );
-            let stamp = clock.tick();
-            if journal::tracing() {
-                let ctx = Frame::trace_ctx(true, session, frame.half_round, stamp);
-                write_frame(&mut stream, &ctx, m.server, m.label)?;
-                spfe_obs::net_frame_event(
-                    true,
-                    m.label,
-                    frame.payload.len() as u64,
-                    frame.half_round,
-                    stamp,
-                );
-            }
-            write_frame(&mut stream, &frame, m.server, m.label)?;
+            let dir = Direction::ClientToServer(m.server);
+            transcript.record_raw(dir, m.label, m.payload.len());
+            let half_round = transcript.report().half_rounds;
+            let frame = Frame::msg(true, session, half_round, m.server, m.label, m.payload);
+            write_stamped(&mut stream, &mut clock, &frame, m.label)?;
             expected += 1;
         }
         if state == SessionState::Done && expected == 0 {
@@ -172,91 +139,67 @@ pub fn run_core<S: Read + Write>(
         }
     }
     let bye = Frame {
-        kind: FrameKind::Bye,
-        client_to_server: true,
-        session,
         half_round: transcript.report().half_rounds,
-        server: 0,
-        label: String::new(),
-        payload: Vec::new(),
+        ..Frame::control(FrameKind::Bye, true, session, "", Vec::new())
     };
-    let stamp = clock.tick();
-    if journal::tracing() {
-        let ctx = Frame::trace_ctx(true, session, bye.half_round, stamp);
-        let _ = write_frame(&mut stream, &ctx, 0, "net-bye");
-        spfe_obs::net_frame_event(true, "net-bye", 0, bye.half_round, stamp);
-    }
-    let _ = write_frame(&mut stream, &bye, 0, "net-bye");
-    spfe_obs::net_session_event(false, session, driver, SessionMode::Compute as u8);
+    let _ = write_stamped(&mut stream, &mut clock, &bye, "net-bye");
+    spfe_obs::net_session_event(false, session, driver);
     let digest = core
         .digest()
         .ok_or_else(|| invalid("client core finished without a digest"))?;
     Ok((digest, transcript))
 }
 
-/// Runs harness driver `name` over TCP in relay mode: the monolithic
-/// driver plays both parties locally, every message crossing the wire
-/// through the echoing peer.
-///
-/// # Errors
-///
-/// Any [`ProtocolError`] from the handshake, the transport, or the
-/// driver itself.
-pub fn run_driver_relay(
-    addr: &str,
-    d: &harness::Driver,
-    deadline: Option<Duration>,
-) -> Result<NetRun, ProtocolError> {
-    let stream = connect(addr, deadline)?;
-    let mut ch = SocketChannel::connect(
-        stream,
-        d.servers,
-        d.name,
-        SessionMode::Relay,
-        next_session_id(),
-    )?;
-    let digest = (d.run)(&mut ch)?;
-    ch.bye();
-    Ok(NetRun {
-        digest,
-        transcript: ch.transcript().clone(),
-        mode: SessionMode::Relay,
-    })
+/// Writes `frame` stamped by the sender's `clock`: with tracing on, a
+/// `TraceCtx` frame carrying the stamp goes first and the send is
+/// journalled under `label`.
+pub(crate) fn write_stamped<W: Write>(
+    w: &mut W,
+    clock: &mut Lamport,
+    frame: &Frame,
+    label: &'static str,
+) -> Result<(), ProtocolError> {
+    let stamp = clock.tick();
+    let server = frame.server as usize;
+    if journal::tracing() {
+        let ctx = Frame::trace_ctx(
+            frame.client_to_server,
+            frame.session,
+            frame.half_round,
+            stamp,
+        );
+        write_frame(w, &ctx, server, label)?;
+        let bytes = frame.payload.len() as u64;
+        spfe_obs::net_frame_event(true, label, bytes, frame.half_round, stamp);
+    }
+    write_frame(w, frame, server, label)
 }
 
-/// Runs harness driver `name` over TCP: compute mode when the driver has
-/// an extracted sans-io core, relay mode otherwise.
+/// Runs harness driver `name` over TCP against the server's cores.
 ///
 /// # Errors
 ///
 /// [`ProtocolError::InvalidMessage`] for an unknown driver name, else as
-/// [`run_core`] / [`run_driver_relay`].
+/// [`run_core`].
 pub fn run_driver(
     addr: &str,
     name: &str,
     deadline: Option<Duration>,
 ) -> Result<NetRun, ProtocolError> {
-    let drivers = harness::drivers();
-    let d = drivers
-        .iter()
-        .find(|d| d.name == name)
-        .ok_or(ProtocolError::InvalidMessage {
-            label: "net-hello",
-            reason: "unknown driver name",
-        })?;
-    match harness::net_client_core(name) {
-        Some(mut core) => {
-            let stream = connect(addr, deadline)?;
-            let (digest, transcript) =
-                run_core(stream, name, core.as_mut(), d.servers, next_session_id())?;
-            Ok(NetRun {
-                digest,
-                transcript,
-                mode: SessionMode::Compute,
-            })
-        }
-        None => run_driver_relay(addr, d, deadline),
-    }
+    let d = harness::driver(name).ok_or(ProtocolError::InvalidMessage {
+        label: "net-hello",
+        reason: "unknown driver name",
+    })?;
+    let mut cores = (d.cores)(0);
+    let stream = connect(addr, deadline)?;
+    let (digest, transcript) = run_core(
+        stream,
+        name,
+        cores.client.as_mut(),
+        d.servers,
+        next_session_id(),
+    )?;
+    Ok(NetRun { digest, transcript })
 }
 
 /// A held-open metrics scrape connection (one TCP connect amortized
@@ -293,15 +236,13 @@ impl StatsConn {
     /// Any transport error, or [`ProtocolError::InvalidMessage`] when the
     /// peer answers with anything but a UTF-8 Stats frame.
     pub fn fetch(&mut self, prom: bool) -> Result<String, ProtocolError> {
-        let request = Frame {
-            kind: FrameKind::Stats,
-            client_to_server: true,
-            session: self.session,
-            half_round: 0,
-            server: 0,
-            label: "stats".to_owned(),
-            payload: vec![u8::from(prom)],
-        };
+        let request = Frame::control(
+            FrameKind::Stats,
+            true,
+            self.session,
+            "stats",
+            vec![u8::from(prom)],
+        );
         write_frame(&mut self.stream, &request, 0, "net-stats")?;
         let reply = read_frame(&mut self.stream, 0, "net-stats")?;
         if reply.kind != FrameKind::Stats {

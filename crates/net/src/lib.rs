@@ -12,10 +12,9 @@
 //! it in place.
 //!
 //! * [`Server`] — a `TcpListener` accept loop with one thread per
-//!   session, serving both Hello modes: **relay** (echo every frame; the
-//!   blanket adapter that runs all monolithic harness drivers over TCP
-//!   unchanged) and **compute** (host the genuine server state machines
-//!   from `spfe::harness::net_server_cores`).
+//!   session, each hosting the server state machines of the driver its
+//!   Hello names (`spfe::harness`, the same constructor the in-memory
+//!   runs use).
 //! * [`run_core`] / [`run_driver`] — the client side: drive a
 //!   [`spfe_transport::ClientCore`] over a connected stream in the same
 //!   phase order as [`spfe_transport::pump`], metering every frame on a
@@ -36,7 +35,5 @@
 pub mod client;
 pub mod server;
 
-pub use client::{
-    fetch_stats, next_session_id, run_core, run_driver, run_driver_relay, NetRun, StatsConn,
-};
+pub use client::{fetch_stats, next_session_id, run_core, run_driver, NetRun, StatsConn};
 pub use server::{classify_failure, Server, ServerConfig};

@@ -2,9 +2,10 @@
 //! sessions, one thread per connection.
 //!
 //! Each connection carries exactly one session, opened by a Hello frame
-//! whose label names the driver and whose payload selects the mode
-//! ([`SessionMode`]) — or a [`FrameKind::Stats`] scrape, answered with a
-//! live `spfe-metrics/v1` snapshot on the same listener (DESIGN.md §16).
+//! whose label names the driver — the server hosts that driver's server
+//! cores (`spfe::harness`) and answers every message with the cores'
+//! reply — or a [`FrameKind::Stats`] scrape, answered with a live
+//! `spfe-metrics/v1` snapshot on the same listener (DESIGN.md §16).
 //! Sessions are fully isolated: a connection that stalls, dies
 //! mid-protocol, sends garbage, or even panics its session thread poisons
 //! only its own session — the accept loop and every other session keep
@@ -13,7 +14,7 @@
 //! Every session settles into the operational [`Metrics`] registry:
 //! opened/completed counters, the typed [`FailureKind`] taxonomy instead
 //! of one opaque `failed` count, per-frame byte totals, and a
-//! per-`(driver, mode)` wall-clock histogram folded at close. With
+//! per-driver wall-clock histogram folded at close. With
 //! `SPFE_LOG` set, each session additionally emits one structured JSONL
 //! line on stderr ([`SessionLogRecord`]).
 //!
@@ -21,15 +22,13 @@
 //! the accept loop awake with a loopback connection, then joins it. No
 //! signal handling, no non-std dependencies.
 
+use crate::client::write_stamped;
 use spfe::harness;
 use spfe_obs::metrics::{
     epoch_micros, FailureKind, Metrics, MetricsSnapshot, SessionLogRecord, SessionUsage,
 };
-use spfe_obs::trace as journal;
 use spfe_transport::frame::{read_frame_or_eof, read_frame_or_eof_traced, write_frame};
-use spfe_transport::{
-    FlowMeter, Frame, FrameKind, Lamport, ProtocolError, SessionCore, SessionMode,
-};
+use spfe_transport::{FlowMeter, Frame, FrameKind, Lamport, ProtocolError, SessionCore};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -214,13 +213,13 @@ struct SessionFailure {
 struct SessionCtx {
     session: u64,
     driver: String,
-    mode: &'static str,
-    /// The Hello mode byte, re-emitted on the session's trace-journal
-    /// close event (0 = relay, 1 = compute).
-    mode_code: u8,
     opened: bool,
     flow: FlowMeter,
 }
+
+/// The metrics `mode` label of every session: the server computes its
+/// half of the protocol.
+const MODE: &str = "compute";
 
 fn lock_ctx<'a>(ctx: &'a Mutex<SessionCtx>) -> std::sync::MutexGuard<'a, SessionCtx> {
     ctx.lock().unwrap_or_else(PoisonError::into_inner)
@@ -288,25 +287,22 @@ fn run_session(mut stream: TcpStream, config: &ServerConfig, metrics: &Arc<Metri
     } else {
         ctx.driver.as_str()
     };
-    let mode = if ctx.mode.is_empty() {
-        "unknown"
-    } else {
-        ctx.mode
-    };
-    metrics.session_closed(driver, mode, outcome, usage);
     // Close the per-session span in this thread's trace journal; the
     // settle path runs even when the session failed or panicked, so a
-    // captured server journal always balances its session slices.
+    // captured server journal always balances its session slices. The
+    // journal is complete before the session counts as settled.
     if ctx.opened {
-        spfe_obs::net_session_event(false, ctx.session, driver, ctx.mode_code);
+        spfe_obs::net_session_event(false, ctx.session, driver);
+        spfe_obs::trace::flush();
     }
+    metrics.session_closed(driver, MODE, outcome, usage);
     SessionLogRecord {
         seq: spfe_obs::metrics::next_log_seq(),
         ts_micros: epoch_micros(),
         session: ctx.session,
         peer: &peer,
         driver,
-        mode,
+        mode: MODE,
         outcome: match outcome {
             Ok(()) => "ok",
             Err(kind) => kind.name(),
@@ -325,15 +321,13 @@ fn abort(stream: &mut TcpStream, session: u64, label: &str, reason: &'static str
         label: "net-session",
         reason,
     };
-    let frame = Frame {
-        kind: FrameKind::Error,
-        client_to_server: false,
+    let frame = Frame::control(
+        FrameKind::Error,
+        false,
         session,
-        half_round: 0,
-        server: 0,
-        label: label.to_owned(),
-        payload: reason.as_bytes().to_vec(),
-    };
+        label,
+        reason.as_bytes().to_vec(),
+    );
     let _ = write_frame(stream, &frame, 0, "net-error");
     e
 }
@@ -385,67 +379,24 @@ fn serve_connection(
         ));
     }
     let session = hello.session;
-    let mode = match hello.payload.first() {
-        Some(0) => SessionMode::Relay,
-        Some(1) => SessionMode::Compute,
-        _ => {
-            return Err(fail(
-                ctx,
-                metrics,
-                true,
-                abort(stream, session, &hello.label, "unknown session mode"),
-            ))
-        }
-    };
-    {
-        let mut c = lock_ctx(ctx);
-        c.mode = match mode {
-            SessionMode::Relay => "relay",
-            SessionMode::Compute => "compute",
-        };
-        c.mode_code = mode as u8;
-    }
-    spfe_obs::net_session_event(true, session, &hello.label, mode as u8);
+    spfe_obs::net_session_event(true, session, &hello.label);
     if config.inject_panic_driver.as_deref() == Some(hello.label.as_str()) {
         panic!("injected session panic (ServerConfig::inject_panic_driver)");
     }
-    let cores = if mode == SessionMode::Compute {
-        match harness::net_server_cores(&hello.label) {
-            Some(c) => Some(c),
-            None => {
-                return Err(fail(
-                    ctx,
-                    metrics,
-                    true,
-                    abort(
-                        stream,
-                        session,
-                        &hello.label,
-                        "no server cores for this driver",
-                    ),
-                ))
-            }
-        }
-    } else {
-        None
+    let Some(driver) = harness::driver(&hello.label) else {
+        return Err(fail(
+            ctx,
+            metrics,
+            true,
+            abort(stream, session, &hello.label, "unknown driver"),
+        ));
     };
-    let ack = Frame {
-        kind: FrameKind::Hello,
-        client_to_server: false,
-        session,
-        half_round: 0,
-        server: 0,
-        label: hello.label.clone(),
-        payload: vec![mode as u8],
-    };
+    let mut cores = (driver.cores)(0).servers;
+    let ack = Frame::control(FrameKind::Hello, false, session, &hello.label, Vec::new());
     if let Err(e) = write_frame(stream, &ack, 0, "net-hello") {
         return Err(fail(ctx, metrics, true, e));
     }
-    match cores {
-        None => relay_session(stream, session, metrics, ctx),
-        Some(mut cores) => compute_session(stream, session, &mut cores, metrics, ctx),
-    }
-    .map(|()| SessionEnd::Completed)
+    compute_session(stream, session, &mut cores, metrics, ctx).map(|()| SessionEnd::Completed)
 }
 
 /// Answers [`FrameKind::Stats`] requests until the scraper hangs up.
@@ -463,15 +414,13 @@ fn stats_session(stream: &mut TcpStream, metrics: &Metrics, first: Frame) -> Ses
         } else {
             ("json", snap.to_json())
         };
-        let reply = Frame {
-            kind: FrameKind::Stats,
-            client_to_server: false,
-            session: request.session,
-            half_round: 0,
-            server: 0,
-            label: label.to_owned(),
-            payload: body.into_bytes(),
-        };
+        let reply = Frame::control(
+            FrameKind::Stats,
+            false,
+            request.session,
+            label,
+            body.into_bytes(),
+        );
         if write_frame(stream, &reply, 0, "net-stats").is_err() {
             return SessionEnd::Stats;
         }
@@ -484,108 +433,35 @@ fn stats_session(stream: &mut TcpStream, metrics: &Metrics, first: Frame) -> Ses
     }
 }
 
-/// Relay mode: echo every Msg frame back verbatim until Bye or EOF.
-/// Each received frame is metered once by its *logical* direction flag;
-/// the echo is the same logical message and is not counted.
-fn relay_session(
-    stream: &mut TcpStream,
-    session: u64,
-    metrics: &Metrics,
-    ctx: &Mutex<SessionCtx>,
-) -> Result<(), SessionFailure> {
-    let mut clock = Lamport::new();
-    loop {
-        let (frame, carried) = match read_frame_or_eof_traced(stream, true, 0, "net-relay") {
-            Ok(None) => return Ok(()),
-            Ok(Some(got)) => got,
-            Err(e) => return Err(fail(ctx, metrics, false, e)),
-        };
-        let recv_stamp = clock.observe(carried.unwrap_or(0));
-        match frame.kind {
-            FrameKind::Msg if frame.session == session => {
-                spfe_obs::net_frame_event(
-                    false,
-                    &frame.label,
-                    frame.payload.len() as u64,
-                    frame.half_round,
-                    recv_stamp,
-                );
-                metrics.transfer(frame.client_to_server, frame.payload.len() as u64);
-                lock_ctx(ctx).flow.observe_msg(&frame);
-                let stamp = clock.tick();
-                if journal::tracing() {
-                    let ctx_frame = Frame::trace_ctx(false, session, frame.half_round, stamp);
-                    if let Err(e) =
-                        write_frame(stream, &ctx_frame, frame.server as usize, "net-relay")
-                    {
-                        return Err(fail(ctx, metrics, false, e));
-                    }
-                    spfe_obs::net_frame_event(
-                        true,
-                        &frame.label,
-                        frame.payload.len() as u64,
-                        frame.half_round,
-                        stamp,
-                    );
-                }
-                if let Err(e) = write_frame(stream, &frame, frame.server as usize, "net-relay") {
-                    return Err(fail(ctx, metrics, false, e));
-                }
-            }
-            FrameKind::Bye => {
-                spfe_obs::net_frame_event(false, "net-bye", 0, frame.half_round, recv_stamp);
-                lock_ctx(ctx).flow.observe_bye(&frame);
-                return Ok(());
-            }
-            _ => {
-                return Err(fail(
-                    ctx,
-                    metrics,
-                    false,
-                    abort(
-                        stream,
-                        session,
-                        &frame.label,
-                        "unexpected frame in relay session",
-                    ),
-                ))
-            }
-        }
-    }
-}
-
-/// Compute mode: feed each Msg frame to the addressed server core and
-/// write its replies back, until every core is consumed (the client sends
-/// Bye) or an error tears the session down. Incoming frames meter as
-/// client → server traffic, originated replies as server → client.
+/// Feeds each Msg frame to the addressed server core and writes its one
+/// reply back, until the client sends Bye (or hangs up) or an error
+/// tears the session down. Incoming frames meter as client → server
+/// traffic, originated replies as server → client.
 fn compute_session(
     stream: &mut TcpStream,
     session: u64,
-    cores: &mut [Box<dyn SessionCore + Send>],
+    cores: &mut [Box<dyn SessionCore>],
     metrics: &Metrics,
     ctx: &Mutex<SessionCtx>,
 ) -> Result<(), SessionFailure> {
-    let proto = |ctx: &Mutex<SessionCtx>, e: ProtocolError| fail(ctx, metrics, false, e);
-    for core in cores.iter_mut() {
-        let (_, outs) = match core.start() {
-            Ok(r) => r,
-            Err(e) => return Err(proto(ctx, e)),
-        };
-        if !outs.is_empty() {
-            return Err(proto(
-                ctx,
-                abort(stream, session, "", "server core tried to speak first"),
-            ));
-        }
-    }
+    serve_cores(stream, session, cores, metrics, ctx).map_err(|e| fail(ctx, metrics, false, e))
+}
+
+fn serve_cores(
+    stream: &mut TcpStream,
+    session: u64,
+    cores: &mut [Box<dyn SessionCore>],
+    metrics: &Metrics,
+    ctx: &Mutex<SessionCtx>,
+) -> Result<(), ProtocolError> {
     let mut clock = Lamport::new();
     loop {
-        let (frame, carried) = match read_frame_or_eof_traced(stream, true, 0, "net-compute") {
-            Ok(None) => return Ok(()),
-            Ok(Some(got)) => got,
-            Err(e) => return Err(proto(ctx, e)),
+        let Some((frame, carried)) = read_frame_or_eof_traced(stream, true, 0, "net-compute")?
+        else {
+            return Ok(());
         };
         let recv_stamp = clock.observe(carried.unwrap_or(0));
+        let bytes = frame.payload.len() as u64;
         match frame.kind {
             FrameKind::Bye => {
                 spfe_obs::net_frame_event(false, "net-bye", 0, frame.half_round, recv_stamp);
@@ -593,93 +469,44 @@ fn compute_session(
                 return Ok(());
             }
             FrameKind::Msg if frame.session == session => {
-                spfe_obs::net_frame_event(
-                    false,
-                    &frame.label,
-                    frame.payload.len() as u64,
-                    frame.half_round,
-                    recv_stamp,
-                );
-                metrics.transfer(frame.client_to_server, frame.payload.len() as u64);
+                spfe_obs::net_frame_event(false, &frame.label, bytes, frame.half_round, recv_stamp);
+                metrics.transfer(frame.client_to_server, bytes);
                 lock_ctx(ctx).flow.observe_msg(&frame);
                 let idx = frame.server as usize;
-                if idx >= cores.len() {
-                    return Err(proto(
-                        ctx,
-                        abort(
-                            stream,
-                            session,
-                            &frame.label,
-                            "message addresses an unknown server",
-                        ),
-                    ));
-                }
-                let step =
-                    cores[idx].on_message(frame.half_round, idx, &frame.label, &frame.payload);
-                let (_, outs) = match step {
-                    Ok(r) => r,
-                    Err(e) => {
-                        let _ = abort(
-                            stream,
-                            session,
-                            &frame.label,
-                            "server core rejected the message",
-                        );
-                        return Err(proto(ctx, e));
-                    }
+                let Some(core) = cores.get_mut(idx) else {
+                    let reason = "message addresses an unknown server";
+                    return Err(abort(stream, session, &frame.label, reason));
                 };
-                for m in outs {
-                    if m.client_to_server {
-                        return Err(proto(
-                            ctx,
-                            abort(
+                let outs =
+                    match core.on_message(frame.half_round, idx, &frame.label, &frame.payload) {
+                        Ok((_, outs)) => outs,
+                        Err(e) => {
+                            let _ = abort(
                                 stream,
                                 session,
-                                m.label,
-                                "server core emitted a misdirected message",
-                            ),
-                        ));
-                    }
-                    let reply = Frame {
-                        kind: FrameKind::Msg,
-                        client_to_server: false,
-                        session,
-                        half_round: frame.half_round + 1,
-                        server: m.server as u32,
-                        label: m.label.to_owned(),
-                        payload: m.payload,
+                                &frame.label,
+                                "server core rejected the message",
+                            );
+                            return Err(e);
+                        }
                     };
+                for m in outs {
+                    let reply = Frame::msg(
+                        false,
+                        session,
+                        frame.half_round + 1,
+                        m.server,
+                        m.label,
+                        m.payload,
+                    );
                     metrics.transfer(false, reply.payload.len() as u64);
                     lock_ctx(ctx).flow.observe_msg(&reply);
-                    let stamp = clock.tick();
-                    if journal::tracing() {
-                        let ctx_frame = Frame::trace_ctx(false, session, reply.half_round, stamp);
-                        if let Err(e) = write_frame(stream, &ctx_frame, m.server, m.label) {
-                            return Err(proto(ctx, e));
-                        }
-                        spfe_obs::net_frame_event(
-                            true,
-                            m.label,
-                            reply.payload.len() as u64,
-                            reply.half_round,
-                            stamp,
-                        );
-                    }
-                    if let Err(e) = write_frame(stream, &reply, m.server, m.label) {
-                        return Err(proto(ctx, e));
-                    }
+                    write_stamped(stream, &mut clock, &reply, m.label)?;
                 }
             }
             _ => {
-                return Err(proto(
-                    ctx,
-                    abort(
-                        stream,
-                        session,
-                        &frame.label,
-                        "unexpected frame in compute session",
-                    ),
-                ))
+                let reason = "unexpected frame in compute session";
+                return Err(abort(stream, session, &frame.label, reason));
             }
         }
     }

@@ -110,8 +110,8 @@ pub fn perfetto_json(trace: &Trace) -> String {
                 EventKind::NetSessionOpen => {
                     open_sessions.push(e.label);
                     emit(&mut out, format!(
-                        "{{\"name\":\"session:{}\",\"cat\":\"session\",\"ph\":\"B\",\"ts\":{ts},\"pid\":1,\"tid\":{tid},\"args\":{{\"session\":{},\"mode\":{}}}}}",
-                        escape(e.label), e.a, e.b
+                        "{{\"name\":\"session:{}\",\"cat\":\"session\",\"ph\":\"B\",\"ts\":{ts},\"pid\":1,\"tid\":{tid},\"args\":{{\"session\":{}}}}}",
+                        escape(e.label), e.a
                     ));
                 }
                 EventKind::NetSessionClose => {
@@ -404,7 +404,6 @@ mod tests {
             .unwrap();
         let args = open.get("args").unwrap();
         assert_eq!(args.get("session").and_then(Json::as_u64), Some(42));
-        assert_eq!(args.get("mode").and_then(Json::as_u64), Some(1));
         let send = events
             .iter()
             .find(|e| e.get("cat").and_then(Json::as_str) == Some("net"))

@@ -70,9 +70,7 @@ pub mod trace;
 
 pub use counter::{count, ops_snapshot, reset_ops, Op, OpsSnapshot};
 pub use mem::{alloc_enabled, reset_mem, MemDelta, MemStat};
-pub use report::{
-    suite_json, CommStat, CostReport, LabelStat, OpStat, SCHEMA, SCHEMA_V1, SCHEMA_V2,
-};
+pub use report::{suite_json, CommStat, CostReport, LabelStat, OpStat, SCHEMA};
 pub use span::{reset_spans, span, spans_snapshot, SpanGuard, SpanStat};
 pub use suite::{parse_suite, Suite};
 pub use trace::{

@@ -130,21 +130,30 @@ struct DriverStats {
     wall: Histo,
 }
 
+/// The session counters and the per-driver rows they must agree with,
+/// kept under one lock so every snapshot sees them settled together.
+#[derive(Debug, Default)]
+struct Sessions {
+    opened: u64,
+    completed: u64,
+    active: u64,
+    failures: [u64; FailureKind::ALL.len()],
+    drivers: Vec<DriverStats>,
+}
+
 /// The registry: process-lifetime operational counters for a server (or
-/// client) handling networked SPFE sessions.
+/// client) handling networked SPFE sessions. Session counters settle
+/// under one lock with the per-driver rows; the per-frame byte counters
+/// are lock-free atomics.
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
-    opened: AtomicU64,
-    completed: AtomicU64,
-    active: AtomicU64,
     stats_probes: AtomicU64,
-    failures: [AtomicU64; FailureKind::ALL.len()],
     bytes_in: AtomicU64,
     bytes_out: AtomicU64,
     frames_in: AtomicU64,
     frames_out: AtomicU64,
-    drivers: Mutex<Vec<DriverStats>>,
+    sessions: Mutex<Sessions>,
 }
 
 impl Default for Metrics {
@@ -153,7 +162,7 @@ impl Default for Metrics {
     }
 }
 
-fn lock_drivers(m: &Mutex<Vec<DriverStats>>) -> MutexGuard<'_, Vec<DriverStats>> {
+fn lock_sessions(m: &Mutex<Sessions>) -> MutexGuard<'_, Sessions> {
     // A panicking session thread can only poison this lock between two
     // consistent fold states; the counters inside stay meaningful.
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
@@ -164,24 +173,21 @@ impl Metrics {
     pub fn new() -> Metrics {
         Metrics {
             started: Instant::now(),
-            opened: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            active: AtomicU64::new(0),
             stats_probes: AtomicU64::new(0),
-            failures: Default::default(),
             bytes_in: AtomicU64::new(0),
             bytes_out: AtomicU64::new(0),
             frames_in: AtomicU64::new(0),
             frames_out: AtomicU64::new(0),
-            drivers: Mutex::new(Vec::new()),
+            sessions: Mutex::new(Sessions::default()),
         }
     }
 
     /// A session began (first frame activity on a connection). Pairs
     /// with exactly one [`Metrics::session_closed`].
     pub fn session_opened(&self) {
-        self.opened.fetch_add(1, Ordering::Relaxed);
-        self.active.fetch_add(1, Ordering::Relaxed);
+        let mut sessions = lock_sessions(&self.sessions);
+        sessions.opened += 1;
+        sessions.active += 1;
     }
 
     /// A metrics scrape was answered (tracked apart from sessions so
@@ -211,16 +217,13 @@ impl Metrics {
         outcome: Result<(), FailureKind>,
         usage: SessionUsage,
     ) {
-        self.active.fetch_sub(1, Ordering::Relaxed);
+        let mut sessions = lock_sessions(&self.sessions);
+        sessions.active = sessions.active.saturating_sub(1);
         match outcome {
-            Ok(()) => {
-                self.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(kind) => {
-                self.failures[kind as usize].fetch_add(1, Ordering::Relaxed);
-            }
+            Ok(()) => sessions.completed += 1,
+            Err(kind) => sessions.failures[kind as usize] += 1,
         }
-        let mut drivers = lock_drivers(&self.drivers);
+        let drivers = &mut sessions.drivers;
         let entry = match drivers
             .iter_mut()
             .find(|d| d.driver == driver && d.mode == mode)
@@ -256,30 +259,27 @@ impl Metrics {
 
     /// Sessions opened so far.
     pub fn sessions_opened(&self) -> u64 {
-        self.opened.load(Ordering::Relaxed)
+        lock_sessions(&self.sessions).opened
     }
 
     /// Sessions that closed cleanly.
     pub fn sessions_completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
+        lock_sessions(&self.sessions).completed
     }
 
     /// Sessions torn down on any failure (sum over the taxonomy).
     pub fn sessions_failed(&self) -> u64 {
-        self.failures
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        lock_sessions(&self.sessions).failures.iter().sum()
     }
 
     /// Failures of one specific kind.
     pub fn failures(&self, kind: FailureKind) -> u64 {
-        self.failures[kind as usize].load(Ordering::Relaxed)
+        lock_sessions(&self.sessions).failures[kind as usize]
     }
 
     /// Sessions currently in flight.
     pub fn sessions_active(&self) -> u64 {
-        self.active.load(Ordering::Relaxed)
+        lock_sessions(&self.sessions).active
     }
 
     /// Metrics scrapes answered.
@@ -287,9 +287,12 @@ impl Metrics {
         self.stats_probes.load(Ordering::Relaxed)
     }
 
-    /// A point-in-time copy of every counter and aggregate.
+    /// A point-in-time copy of every counter and aggregate; the session
+    /// counters and the per-driver rows come from one critical section.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let drivers = lock_drivers(&self.drivers)
+        let sessions = lock_sessions(&self.sessions);
+        let drivers = sessions
+            .drivers
             .iter()
             .map(|d| DriverSnapshot {
                 driver: d.driver.clone(),
@@ -310,13 +313,13 @@ impl Metrics {
             .collect();
         MetricsSnapshot {
             uptime_micros: self.started.elapsed().as_micros() as u64,
-            sessions_opened: self.sessions_opened(),
-            sessions_completed: self.sessions_completed(),
-            sessions_active: self.sessions_active(),
+            sessions_opened: sessions.opened,
+            sessions_completed: sessions.completed,
+            sessions_active: sessions.active,
             stats_probes: self.stats_probes(),
             failures: FailureKind::ALL
                 .iter()
-                .map(|&k| (k, self.failures(k)))
+                .map(|&k| (k, sessions.failures[k as usize]))
                 .collect(),
             bytes_in: self.bytes_in.load(Ordering::Relaxed),
             bytes_out: self.bytes_out.load(Ordering::Relaxed),
@@ -332,7 +335,8 @@ impl Metrics {
 pub struct DriverSnapshot {
     /// Driver (experiment) name from the Hello frame.
     pub driver: String,
-    /// `relay` or `compute`.
+    /// The session mode label (`compute`: the server runs its half of
+    /// the protocol).
     pub mode: String,
     /// Sessions closed under this key (clean or failed).
     pub sessions: u64,
@@ -805,7 +809,7 @@ pub struct SessionLogRecord<'a> {
     pub peer: &'a str,
     /// Driver / experiment id.
     pub driver: &'a str,
-    /// `relay`, `compute`, or `client`.
+    /// `compute` (server side) or `client`.
     pub mode: &'a str,
     /// `ok` or a [`FailureKind`] name.
     pub outcome: &'a str,
@@ -884,7 +888,7 @@ mod tests {
         m.session_closed("hom_pir", "compute", Ok(()), usage(7, 0, 1, 80_000));
         m.session_closed(
             "spir",
-            "relay",
+            "client",
             Err(FailureKind::TransferTimeout),
             usage(0, 0, 0, 50),
         );
@@ -913,7 +917,7 @@ mod tests {
         assert_eq!((hp.bytes_in, hp.bytes_out, hp.half_rounds), (107, 40, 3));
         assert_eq!(hp.wall_sum_micros, 80_900);
         assert!(hp.p50_micros >= 900 && hp.p99_micros >= 80_000);
-        assert_eq!(snap.driver("spir", "relay").unwrap().failed, 1);
+        assert_eq!(snap.driver("spir", "client").unwrap().failed, 1);
         assert!(snap.driver("spir", "compute").is_none());
     }
 
@@ -1042,7 +1046,7 @@ mod tests {
         assert_eq!(prom_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let m = Metrics::new();
         m.session_opened();
-        m.session_closed("we\"ird\\name", "relay", Ok(()), usage(1, 1, 1, 1));
+        m.session_closed("we\"ird\\name", "client", Ok(()), usage(1, 1, 1, 1));
         let prom = m.snapshot().prometheus();
         assert!(prom.contains("driver=\"we\\\"ird\\\\name\""));
     }
@@ -1122,7 +1126,7 @@ mod tests {
             session: 1,
             peer: "local",
             driver: "d",
-            mode: "relay",
+            mode: "client",
             outcome: "ok",
             wall_micros: 1,
             bytes_in: 0,

@@ -246,14 +246,6 @@ impl CostReport {
 /// Schema identifier emitted at the top of every cost-report suite.
 pub const SCHEMA: &str = "spfe-cost-report/v3";
 
-/// The v2 schema identifier (per-span latency quantiles, no heap axis);
-/// [`crate::suite::parse_suite`] still reads documents carrying it.
-pub const SCHEMA_V2: &str = "spfe-cost-report/v2";
-
-/// The original schema identifier; [`crate::suite::parse_suite`] still
-/// reads documents carrying it.
-pub const SCHEMA_V1: &str = "spfe-cost-report/v1";
-
 /// Renders a suite of reports as the `spfe-cost-report/v3` document
 /// (pretty enough to diff, strict enough to parse).
 pub fn suite_json(threads: usize, reports: &[CostReport]) -> String {

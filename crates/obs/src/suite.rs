@@ -1,43 +1,27 @@
-//! A version-aware reader for persisted cost-report suites.
+//! The reader for persisted `spfe-cost-report/v3` suites.
 //!
-//! `BENCH_costs.json` files exist in three schema versions: `v1` (PR 2,
-//! spans carry `path`/`calls`/`ns`), `v2` (spans add the
-//! `p50_ns`/`p95_ns`/`p99_ns` latency quantiles) and `v3` (spans add the
-//! heap axis — `allocs`/`alloc_bytes`/`peak_live_bytes` — and each report
-//! gains a `mem` object). [`parse_suite`] accepts all three — strict
-//! about every field the version defines — and returns the reports as
-//! in-memory [`CostReport`]s plus the detected version, so the
-//! `spfe-tables validate` and `trend` subcommands share one parser and
-//! old committed baselines keep working.
+//! [`parse_suite`] is strict about every field the schema defines —
+//! spans with their latency quantiles and heap axis, each report's `mem`
+//! object — and returns the reports as in-memory [`CostReport`]s, so the
+//! `spfe-tables validate` and `trend` subcommands share one parser. A
+//! document carrying any other schema tag is rejected.
 
 use crate::counter::Op;
 use crate::json::{parse, Json};
 use crate::mem::MemStat;
-use crate::report::{CommStat, CostReport, LabelStat, OpStat, SCHEMA, SCHEMA_V1, SCHEMA_V2};
+use crate::report::{CommStat, CostReport, LabelStat, OpStat, SCHEMA};
 use crate::span::SpanStat;
 
 /// A parsed cost-report suite.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Suite {
-    /// Detected schema version (1, 2 or 3).
-    pub version: u32,
     /// The `threads` header field.
     pub threads: u64,
-    /// Every report, in file order. Fields a version predates parse as 0
-    /// (v1: span quantiles; v1/v2: the heap axis).
+    /// Every report, in file order.
     pub reports: Vec<CostReport>,
 }
 
 impl Suite {
-    /// The schema tag this suite was read under.
-    pub fn schema(&self) -> &'static str {
-        match self.version {
-            1 => SCHEMA_V1,
-            2 => SCHEMA_V2,
-            _ => SCHEMA,
-        }
-    }
-
     /// The report for `(experiment, protocol)`, if present.
     pub fn find(&self, experiment: &str, protocol: &str) -> Option<&CostReport> {
         self.reports
@@ -58,25 +42,18 @@ fn field_str<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a str, String>
         .ok_or_else(|| format!("{ctx}: missing `{key}`"))
 }
 
-/// Parses a suite document in either schema version.
+/// Parses a suite document.
 ///
 /// # Errors
 ///
 /// A human-readable message on malformed JSON, an unknown schema tag, or
-/// any missing/mistyped field the detected version requires.
+/// any missing/mistyped field.
 pub fn parse_suite(src: &str) -> Result<Suite, String> {
     let doc = parse(src)?;
     let schema = field_str(&doc, "schema", "suite")?;
-    let version = match schema {
-        s if s == SCHEMA_V1 => 1,
-        s if s == SCHEMA_V2 => 2,
-        s if s == SCHEMA => 3,
-        other => {
-            return Err(format!(
-                "unknown schema `{other}` (expected `{SCHEMA_V1}`, `{SCHEMA_V2}` or `{SCHEMA}`)"
-            ))
-        }
-    };
+    if schema != SCHEMA {
+        return Err(format!("unknown schema `{schema}` (expected `{SCHEMA}`)"));
+    }
     let threads = field_u64(&doc, "threads", "suite")?;
     if threads == 0 {
         return Err("`threads` must be >= 1".into());
@@ -87,16 +64,12 @@ pub fn parse_suite(src: &str) -> Result<Suite, String> {
         .ok_or("missing `reports` array")?;
     let mut reports = Vec::with_capacity(raw.len());
     for (i, r) in raw.iter().enumerate() {
-        reports.push(parse_report(r, i, version)?);
+        reports.push(parse_report(r, i)?);
     }
-    Ok(Suite {
-        version,
-        threads,
-        reports,
-    })
+    Ok(Suite { threads, reports })
 }
 
-fn parse_report(r: &Json, i: usize, version: u32) -> Result<CostReport, String> {
+fn parse_report(r: &Json, i: usize) -> Result<CostReport, String> {
     let ctx = format!("report {i}");
     let experiment = field_str(r, "experiment", &ctx)?.to_owned();
     let protocol = field_str(r, "protocol", &ctx)?.to_owned();
@@ -112,30 +85,16 @@ fn parse_report(r: &Json, i: usize, version: u32) -> Result<CostReport, String> 
         let sctx = format!("{ctx} span `{path}`");
         let calls = field_u64(s, "calls", &sctx)?;
         let ns = field_u64(s, "ns", &sctx)?;
-        // v2+ requires the quantile fields; v1 predates them (0 if
-        // absent). v3 additionally requires the heap fields.
-        let quant = |key: &str| -> Result<u64, String> {
-            match version {
-                1 => Ok(s.get(key).and_then(Json::as_u64).unwrap_or(0)),
-                _ => field_u64(s, key, &sctx),
-            }
-        };
-        let heap = |key: &str| -> Result<u64, String> {
-            match version {
-                1 | 2 => Ok(s.get(key).and_then(Json::as_u64).unwrap_or(0)),
-                _ => field_u64(s, key, &sctx),
-            }
-        };
         spans.push(SpanStat {
             path,
             calls,
             ns,
-            p50_ns: quant("p50_ns")?,
-            p95_ns: quant("p95_ns")?,
-            p99_ns: quant("p99_ns")?,
-            allocs: heap("allocs")?,
-            alloc_bytes: heap("alloc_bytes")?,
-            peak_live_bytes: heap("peak_live_bytes")?,
+            p50_ns: field_u64(s, "p50_ns", &sctx)?,
+            p95_ns: field_u64(s, "p95_ns", &sctx)?,
+            p99_ns: field_u64(s, "p99_ns", &sctx)?,
+            allocs: field_u64(s, "allocs", &sctx)?,
+            alloc_bytes: field_u64(s, "alloc_bytes", &sctx)?,
+            peak_live_bytes: field_u64(s, "peak_live_bytes", &sctx)?,
         });
     }
 
@@ -184,21 +143,17 @@ fn parse_report(r: &Json, i: usize, version: u32) -> Result<CostReport, String> 
         labels,
     };
 
-    // The report-level heap object is required in v3, absent before.
-    let mem = match r.get("mem") {
-        Some(m) => {
-            let mctx = format!("{ctx} mem");
-            MemStat {
-                allocs: field_u64(m, "allocs", &mctx)?,
-                alloc_bytes: field_u64(m, "alloc_bytes", &mctx)?,
-                free_bytes: field_u64(m, "free_bytes", &mctx)?,
-                reallocs: field_u64(m, "reallocs", &mctx)?,
-                live_bytes: field_u64(m, "live_bytes", &mctx)?,
-                peak_live_bytes: field_u64(m, "peak_live_bytes", &mctx)?,
-            }
-        }
-        None if version >= 3 => return Err(format!("{ctx}: missing `mem`")),
-        None => MemStat::default(),
+    let m = r
+        .get("mem")
+        .ok_or_else(|| format!("{ctx}: missing `mem`"))?;
+    let mctx = format!("{ctx} mem");
+    let mem = MemStat {
+        allocs: field_u64(m, "allocs", &mctx)?,
+        alloc_bytes: field_u64(m, "alloc_bytes", &mctx)?,
+        free_bytes: field_u64(m, "free_bytes", &mctx)?,
+        reallocs: field_u64(m, "reallocs", &mctx)?,
+        live_bytes: field_u64(m, "live_bytes", &mctx)?,
+        peak_live_bytes: field_u64(m, "peak_live_bytes", &mctx)?,
     };
 
     Ok(CostReport {
@@ -265,98 +220,57 @@ mod tests {
     fn v3_roundtrips_through_suite_json() {
         let reports = vec![sample_report()];
         let suite = parse_suite(&suite_json(4, &reports)).unwrap();
-        assert_eq!(suite.version, 3);
-        assert_eq!(suite.schema(), SCHEMA);
         assert_eq!(suite.threads, 4);
         assert_eq!(suite.reports, reports);
         assert!(suite.find("e1", "spir").is_some());
         assert!(suite.find("e1", "nope").is_none());
     }
 
-    /// A hand-written v1 document (the PR 2 schema: spans without
-    /// quantiles) must keep parsing.
-    const V1_DOC: &str = r#"{
-      "schema": "spfe-cost-report/v1",
+    /// A hand-written v3 document with one report.
+    const V3_DOC: &str = r#"{
+      "schema": "spfe-cost-report/v3",
       "threads": 1,
       "reports": [
         {"experiment":"e1","protocol":"p","elapsed_ns":9,
-         "spans":[{"path":"s","calls":1,"ns":7}],
+         "spans":[{"path":"s","calls":1,"ns":7,"p50_ns":7,"p95_ns":7,"p99_ns":7,
+                   "allocs":1,"alloc_bytes":8,"peak_live_bytes":8}],
          "ops":[{"name":"modexp","count":3,"deterministic":true}],
          "comm":{"up_bytes":1,"down_bytes":2,"messages":1,"half_rounds":1,
-                 "labels":[{"label":"q","up_bytes":1,"up_msgs":1,"down_bytes":0,"down_msgs":0}]}}
+                 "labels":[{"label":"q","up_bytes":1,"up_msgs":1,"down_bytes":0,"down_msgs":0}]},
+         "mem":{"allocs":1,"alloc_bytes":8,"free_bytes":8,"reallocs":0,"live_bytes":0,
+                "peak_live_bytes":8}}
       ]
     }"#;
-
-    #[test]
-    fn v1_documents_still_parse() {
-        let suite = parse_suite(V1_DOC).unwrap();
-        assert_eq!(suite.version, 1);
-        assert_eq!(suite.schema(), SCHEMA_V1);
-        let r = suite.find("e1", "p").unwrap();
-        assert_eq!(r.op_count(Op::Modexp), 3);
-        assert_eq!(r.spans[0].p50_ns, 0, "v1 spans default the quantiles");
-    }
-
-    #[test]
-    fn v2_requires_quantile_fields() {
-        let doc = V1_DOC.replace("spfe-cost-report/v1", "spfe-cost-report/v2");
-        let err = parse_suite(&doc).unwrap_err();
-        assert!(err.contains("p50_ns"), "{err}");
-    }
-
-    /// A hand-written v2 document (quantiles, no heap axis) must keep
-    /// parsing, with the heap fields defaulted to zero.
-    const V2_DOC: &str = r#"{
-      "schema": "spfe-cost-report/v2",
-      "threads": 2,
-      "reports": [
-        {"experiment":"e1","protocol":"p","elapsed_ns":9,
-         "spans":[{"path":"s","calls":1,"ns":7,"p50_ns":7,"p95_ns":7,"p99_ns":7}],
-         "ops":[{"name":"modexp","count":3,"deterministic":true}],
-         "comm":{"up_bytes":1,"down_bytes":2,"messages":1,"half_rounds":1,
-                 "labels":[{"label":"q","up_bytes":1,"up_msgs":1,"down_bytes":0,"down_msgs":0}]}}
-      ]
-    }"#;
-
-    #[test]
-    fn v2_documents_still_parse_with_zero_heap() {
-        let suite = parse_suite(V2_DOC).unwrap();
-        assert_eq!(suite.version, 2);
-        assert_eq!(suite.schema(), SCHEMA_V2);
-        let r = suite.find("e1", "p").unwrap();
-        assert_eq!(r.spans[0].p50_ns, 7);
-        assert_eq!(r.spans[0].alloc_bytes, 0, "v2 spans default the heap axis");
-        assert_eq!(r.mem, MemStat::default(), "v2 reports default `mem`");
-    }
 
     #[test]
     fn v3_requires_heap_fields_and_mem() {
-        // Same document claiming v3: the span heap fields are missing.
-        let doc = V2_DOC.replace("spfe-cost-report/v2", "spfe-cost-report/v3");
-        let err = parse_suite(&doc).unwrap_err();
+        assert_eq!(parse_suite(V3_DOC).unwrap().reports[0].mem.allocs, 1);
+        let err = parse_suite(&V3_DOC.replace("\"allocs\":1,\"alloc_bytes\":8,\"peak", "\"peak"))
+            .unwrap_err();
         assert!(err.contains("allocs"), "{err}");
-        // With the span fields present but no report-level `mem` object.
-        let doc = doc.replace(
-            "\"p99_ns\":7}",
-            "\"p99_ns\":7,\"allocs\":1,\"alloc_bytes\":8,\"peak_live_bytes\":8}",
-        );
+        let no_mem = V3_DOC.find(",\n         \"mem\"").unwrap();
+        let doc = format!("{}}}\n      ]\n    }}", &V3_DOC[..no_mem]);
         let err = parse_suite(&doc).unwrap_err();
         assert!(err.contains("missing `mem`"), "{err}");
     }
 
     #[test]
     fn unknown_schema_and_ops_rejected() {
-        let err = parse_suite(&V1_DOC.replace("/v1", "/v9")).unwrap_err();
-        assert!(err.contains("unknown schema"), "{err}");
-        let err = parse_suite(&V1_DOC.replace("modexp", "frobnicate")).unwrap_err();
+        for tag in ["/v1", "/v2", "/v9"] {
+            let err = parse_suite(&V3_DOC.replace("/v3", tag)).unwrap_err();
+            assert!(err.contains("unknown schema"), "{err}");
+        }
+        let err = parse_suite(&V3_DOC.replace("modexp", "frobnicate")).unwrap_err();
         assert!(err.contains("unknown op name"), "{err}");
     }
 
     #[test]
     fn missing_fields_name_their_context() {
-        let err = parse_suite(&V1_DOC.replace("\"threads\": 1,", "")).unwrap_err();
+        let err = parse_suite(&V3_DOC.replace("\"threads\": 1,", "")).unwrap_err();
         assert!(err.contains("threads"), "{err}");
-        let err = parse_suite(&V1_DOC.replace("\"calls\":1,", "")).unwrap_err();
+        let err = parse_suite(&V3_DOC.replace("\"calls\":1,", "")).unwrap_err();
         assert!(err.contains("calls"), "{err}");
+        let err = parse_suite(&V3_DOC.replace("\"p50_ns\":7,", "")).unwrap_err();
+        assert!(err.contains("p50_ns"), "{err}");
     }
 }

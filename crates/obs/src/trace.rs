@@ -72,9 +72,9 @@ pub enum EventKind {
     /// messages in the view, `b` the server index (0 for the client).
     ViewSeal,
     /// A networked session span opened on this party; `label` is the
-    /// driver name (interned), `a` the session id, `b` the session mode
-    /// (0 = relay, 1 = compute). Frame events that follow on the same
-    /// thread belong to this session until the matching close.
+    /// driver name (interned), `a` the session id. Frame events that
+    /// follow on the same thread belong to this session until the
+    /// matching close.
     NetSessionOpen,
     /// The networked session span closed; fields as for
     /// [`EventKind::NetSessionOpen`].
@@ -381,6 +381,10 @@ mod imp {
         });
     }
 
+    pub fn flush() {
+        with_local(Local::flush);
+    }
+
     pub fn take() -> Trace {
         // Flush the calling thread so a single-threaded capture is
         // complete even while its outermost span is still open elsewhere
@@ -434,6 +438,8 @@ mod imp {
 
     #[inline(always)]
     pub fn record(_kind: super::EventKind, _label: &'static str, _a: u64, _b: u64) {}
+
+    pub fn flush() {}
 
     pub fn take() -> Trace {
         Trace::default()
@@ -518,13 +524,12 @@ pub fn view_event(party_is_client: bool, server: usize, events: u64) {
 }
 
 /// Records a networked session span opening or closing on this party.
-/// `mode` is the session-mode byte from the Hello frame (0 = relay,
-/// 1 = compute). Frame events recorded afterwards on the same thread
-/// belong to this session until the matching close, which is how the
-/// cross-process merge (`spfe-tables net-trace --merge`) attributes them.
-/// A no-op unless tracing is on.
+/// Frame events recorded afterwards on the same thread belong to this
+/// session until the matching close, which is how the cross-process
+/// merge (`spfe-tables net-trace --merge`) attributes them. A no-op
+/// unless tracing is on.
 #[inline]
-pub fn net_session_event(open: bool, session: u64, driver: &str, mode: u8) {
+pub fn net_session_event(open: bool, session: u64, driver: &str) {
     if !imp::tracing() {
         return;
     }
@@ -533,7 +538,7 @@ pub fn net_session_event(open: bool, session: u64, driver: &str, mode: u8) {
     } else {
         EventKind::NetSessionClose
     };
-    imp::record(kind, imp::intern(driver), session, u64::from(mode));
+    imp::record(kind, imp::intern(driver), session, 0);
 }
 
 /// Records a stamped session-frame event: `send` for a frame leaving this
@@ -559,6 +564,12 @@ pub fn net_frame_event(send: bool, label: &str, bytes: u64, half_round: u32, lam
 #[must_use]
 pub fn unpack_net_stamp(b: u64) -> (u32, u32) {
     ((b >> 32) as u32, b as u32)
+}
+
+/// Hands the calling thread's buffered events to the journal now, instead
+/// of when its outermost span closes or the thread exits.
+pub fn flush() {
+    imp::flush()
 }
 
 /// Drains everything recorded since the last [`take`]/[`reset`] (flushing
@@ -706,17 +717,17 @@ mod tests {
     #[test]
     fn net_events_record_session_and_stamp_payloads() {
         let trace = capture(|| {
-            net_session_event(true, 42, &String::from("toy-driver"), 1);
+            net_session_event(true, 42, &String::from("toy-driver"));
             net_frame_event(true, &String::from("toy-q"), 128, 1, 7);
             net_frame_event(false, "toy-a", 256, 2, 9);
-            net_session_event(false, 42, "toy-driver", 1);
+            net_session_event(false, 42, "toy-driver");
         });
         let evs = my_events(&trace);
         let open = evs
             .iter()
             .find(|e| e.kind == EventKind::NetSessionOpen)
             .unwrap();
-        assert_eq!((open.label, open.a, open.b), ("toy-driver", 42, 1));
+        assert_eq!((open.label, open.a), ("toy-driver", 42));
         let close = evs
             .iter()
             .find(|e| e.kind == EventKind::NetSessionClose)

@@ -1,105 +1,14 @@
-//! Property tests for the version-aware suite reader (`suite.rs`):
-//! randomly generated reports round-trip through every schema version
-//! with field-level equality, and mixed-version directories parse with
-//! the right detected versions.
+//! Property tests for the suite reader (`suite.rs`): randomly generated
+//! reports round-trip through the `spfe-cost-report/v3` schema — the
+//! only one — with field-level equality, and a directory mixing in the
+//! retired v1/v2 tags parses the v3 file and rejects the others.
 //!
-//! The v3 documents are rendered by the production [`suite_json`]; the
-//! v1/v2 documents by a local renderer that emits exactly the fields
-//! those versions defined, mirroring what old `spfe-tables` binaries
-//! wrote.
+//! Documents are rendered by the production [`suite_json`].
 
 use proptest::prelude::*;
 use spfe_obs::{
     parse_suite, suite_json, CommStat, CostReport, LabelStat, MemStat, Op, OpStat, SpanStat,
-    SCHEMA_V1, SCHEMA_V2,
 };
-
-/// Renders `reports` as a v1 or v2 suite document: v1 spans carry only
-/// `path`/`calls`/`ns`, v2 adds the latency quantiles, and neither has
-/// the heap axis or the report-level `mem` object.
-fn render_legacy(version: u32, threads: u64, reports: &[CostReport]) -> String {
-    let tag = match version {
-        1 => SCHEMA_V1,
-        _ => SCHEMA_V2,
-    };
-    let mut out = format!("{{\"schema\": \"{tag}\", \"threads\": {threads}, \"reports\": [");
-    for (i, r) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"experiment\":\"{}\",\"protocol\":\"{}\",\"elapsed_ns\":{},\"spans\":[",
-            r.experiment, r.protocol, r.elapsed_ns
-        ));
-        for (j, s) in r.spans.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"path\":\"{}\",\"calls\":{},\"ns\":{}",
-                s.path, s.calls, s.ns
-            ));
-            if version >= 2 {
-                out.push_str(&format!(
-                    ",\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{}",
-                    s.p50_ns, s.p95_ns, s.p99_ns
-                ));
-            }
-            out.push('}');
-        }
-        out.push_str("],\"ops\":[");
-        for (j, o) in r.ops.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"count\":{},\"deterministic\":{}}}",
-                o.op.name(),
-                o.count,
-                o.op.deterministic()
-            ));
-        }
-        out.push_str(&format!(
-            "],\"comm\":{{\"up_bytes\":{},\"down_bytes\":{},\"messages\":{},\"half_rounds\":{},\"labels\":[",
-            r.comm.up_bytes, r.comm.down_bytes, r.comm.messages, r.comm.half_rounds
-        ));
-        for (j, l) in r.comm.labels.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "{{\"label\":\"{}\",\"up_bytes\":{},\"up_msgs\":{},\"down_bytes\":{},\"down_msgs\":{}}}",
-                l.label, l.up_bytes, l.up_msgs, l.down_bytes, l.down_msgs
-            ));
-        }
-        out.push_str("]}}");
-    }
-    out.push_str("]}");
-    out
-}
-
-/// What a legacy document is expected to parse back to: the heap axis
-/// (and, for v1, the quantiles) zeroed, everything else intact.
-fn downgrade(version: u32, reports: &[CostReport]) -> Vec<CostReport> {
-    reports
-        .iter()
-        .cloned()
-        .map(|mut r| {
-            r.mem = MemStat::default();
-            for s in &mut r.spans {
-                s.allocs = 0;
-                s.alloc_bytes = 0;
-                s.peak_live_bytes = 0;
-                if version == 1 {
-                    s.p50_ns = 0;
-                    s.p95_ns = 0;
-                    s.p99_ns = 0;
-                }
-            }
-            r
-        })
-        .collect()
-}
 
 type SpanTuple = (String, (u64, u64), (u64, u64, u64), (u64, u64, u64));
 type LabelTuple = (String, u64, u64, u64, u64);
@@ -205,21 +114,10 @@ proptest! {
     ) {
         let reports = vec![build_report(ids, spans, ops, comm, mem)];
 
-        // v3: the production renderer must round-trip field-exactly.
+        // The production renderer must round-trip field-exactly.
         let v3 = parse_suite(&suite_json(threads as usize, &reports)).unwrap();
-        prop_assert_eq!(v3.version, 3);
         prop_assert_eq!(v3.threads, threads);
         prop_assert_eq!(&v3.reports, &reports);
-
-        // v2: quantiles survive, the heap axis parses as zero.
-        let v2 = parse_suite(&render_legacy(2, threads, &reports)).unwrap();
-        prop_assert_eq!(v2.version, 2);
-        prop_assert_eq!(&v2.reports, &downgrade(2, &reports));
-
-        // v1: quantiles and heap axis both parse as zero.
-        let v1 = parse_suite(&render_legacy(1, threads, &reports)).unwrap();
-        prop_assert_eq!(v1.version, 1);
-        prop_assert_eq!(&v1.reports, &downgrade(1, &reports));
     }
 
     #[test]
@@ -229,9 +127,9 @@ proptest! {
         spans in proptest::collection::vec(span_strategy(), 1..3),
         ops in proptest::collection::vec((any::<proptest::sample::Index>(), 1u64..1_000_000), 1..3),
     ) {
-        // The same logical measurements persisted by three generations of
-        // the tool: every file parses, versions are detected per file (the
-        // `validate` tally), and the shared fields agree across versions.
+        // The same measurements under the current and two retired
+        // schema tags: only the v3 file parses; the others are rejected
+        // as unknown schemas, never half-read.
         let reports = vec![build_report(
             ids,
             spans,
@@ -239,33 +137,13 @@ proptest! {
             ((64, 32, 2, 2), Vec::new()),
             (10, 1024, 512, (1, 512, 2048)),
         )];
-        let dir = [
-            render_legacy(1, threads, &reports),
-            render_legacy(2, threads, &reports),
-            suite_json(threads as usize, &reports),
-        ];
-        let parsed: Vec<_> = dir.iter().map(|doc| parse_suite(doc).unwrap()).collect();
-        let versions: Vec<u32> = parsed.iter().map(|s| s.version).collect();
-        prop_assert_eq!(versions, vec![1, 2, 3]);
-        for suite in &parsed {
-            prop_assert_eq!(suite.threads, threads);
-            prop_assert_eq!(suite.reports.len(), reports.len());
-            for (got, want) in suite.reports.iter().zip(&reports) {
-                // Version-independent fields are identical everywhere.
-                prop_assert_eq!(&got.experiment, &want.experiment);
-                prop_assert_eq!(&got.protocol, &want.protocol);
-                prop_assert_eq!(got.elapsed_ns, want.elapsed_ns);
-                prop_assert_eq!(&got.ops, &want.ops);
-                prop_assert_eq!(&got.comm, &want.comm);
-                for (gs, ws) in got.spans.iter().zip(&want.spans) {
-                    prop_assert_eq!(&gs.path, &ws.path);
-                    prop_assert_eq!(gs.calls, ws.calls);
-                    prop_assert_eq!(gs.ns, ws.ns);
-                }
-            }
-            // The heap axis exists only from v3 on.
-            let heap: u64 = suite.reports.iter().map(|r| r.mem.allocs).sum();
-            prop_assert_eq!(heap > 0, suite.version >= 3);
+        let v3 = suite_json(threads as usize, &reports);
+        let parsed = parse_suite(&v3).unwrap();
+        prop_assert_eq!(parsed.threads, threads);
+        prop_assert_eq!(&parsed.reports, &reports);
+        for tag in ["spfe-cost-report/v1", "spfe-cost-report/v2"] {
+            let err = parse_suite(&v3.replace("spfe-cost-report/v3", tag)).unwrap_err();
+            prop_assert!(err.contains("unknown schema"), "{}", err);
         }
     }
 }

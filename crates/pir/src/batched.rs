@@ -24,8 +24,12 @@
 use crate::spir::{self, SpirParams};
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
-use spfe_math::RandomSource;
-use spfe_transport::{Channel, ChannelExt, ProtocolError};
+use spfe_math::{RandomSource, SharedRng};
+use spfe_transport::{
+    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, RoundClient, RoundServer,
+    ServerRounds, Wire,
+};
+use std::borrow::Cow;
 
 /// Outcome statistics of a batched retrieval.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -388,6 +392,191 @@ pub fn client_decode_words<P: HomomorphicPk, S: HomomorphicSk<P>>(
     Ok(values)
 }
 
+/// The protocol's exchanges: one SPIR query per bucket, then — only when
+/// cuckoo placement left indices over — one full-database SPIR per
+/// leftover.
+pub const EXCHANGES: &[Exchange] = &[
+    Exchange::new(
+        "batched",
+        "batched-queries",
+        "batched-answers",
+        "server-scan",
+    ),
+    Exchange::new(
+        "batched",
+        "batched-fallback-queries",
+        "batched-fallback-answers",
+        "server-scan",
+    ),
+];
+
+/// Server half of batched SPIR over a multi-word database; its pads come
+/// from its own `rng`.
+#[derive(Debug)]
+pub struct BatchedServer<'a, P, R> {
+    group: SchnorrGroup,
+    pk: &'a P,
+    db: Cow<'a, [Vec<u64>]>,
+    rng: R,
+}
+
+impl<'a, P: HomomorphicPk, R: RandomSource> BatchedServer<'a, P, R> {
+    /// A server holding the (non-empty, equal-width) items `db`.
+    pub fn new(group: SchnorrGroup, pk: &'a P, db: impl Into<Cow<'a, [Vec<u64>]>>, rng: R) -> Self {
+        BatchedServer {
+            group,
+            pk,
+            db: db.into(),
+            rng,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, R: RandomSource> ServerRounds for BatchedServer<'_, P, R> {
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn answer(&mut self, step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        let answers = if step == 0 {
+            let query = BatchedQuery::from_bytes(query)?;
+            server_answer_words(&self.group, self.pk, &self.db, &query, &mut self.rng)?
+        } else {
+            let full_params = SpirParams::new(self.group.clone(), self.db.len());
+            Vec::<spir::SpirQuery>::from_bytes(query)?
+                .iter()
+                .map(|fq| {
+                    spir::server_answer_words(&full_params, self.pk, &self.db, fq, &mut self.rng)
+                })
+                .collect::<Result<_, _>>()?
+        };
+        Ok(answers.to_bytes())
+    }
+}
+
+/// Client half of batched SPIR: bucket queries, then fallbacks for any
+/// index cuckoo placement could not seat.
+#[derive(Debug)]
+pub struct BatchedClient<'a, P, S, R> {
+    group: SchnorrGroup,
+    pk: &'a P,
+    sk: &'a S,
+    n: usize,
+    width: usize,
+    indices: Vec<usize>,
+    rng: R,
+    state: Option<BatchedClientState>,
+    fallbacks: Vec<spir::SpirClientState>,
+    values: Option<Vec<Vec<u64>>>,
+}
+
+impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> BatchedClient<'a, P, S, R> {
+    /// A client retrieving `indices` from `n` items of `width` words.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when the queries are built) if `indices` is empty or out
+    /// of range.
+    pub fn new(
+        group: SchnorrGroup,
+        pk: &'a P,
+        sk: &'a S,
+        n: usize,
+        width: usize,
+        indices: &[usize],
+        rng: R,
+    ) -> Self {
+        BatchedClient {
+            group,
+            pk,
+            sk,
+            n,
+            width,
+            indices: indices.to_vec(),
+            rng,
+            state: None,
+            fallbacks: Vec::new(),
+            values: None,
+        }
+    }
+
+    /// The retrieved items (in the order of the indices) and the
+    /// execution statistics, once the session is done.
+    pub fn output(self) -> Option<(Vec<Vec<u64>>, BatchedStats)> {
+        let state = self.state?;
+        Some((
+            self.values?,
+            BatchedStats {
+                bucket_queries: state.owners.len(),
+                fallbacks: state.leftovers.len(),
+            },
+        ))
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> ClientRounds
+    for BatchedClient<'_, P, S, R>
+{
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn queries(&mut self, step: usize) -> Result<Option<Queries>, ProtocolError> {
+        if step == 0 {
+            let (queries, state) =
+                client_query(&self.group, self.pk, self.n, &self.indices, &mut self.rng);
+            self.state = Some(state);
+            return Ok(Some(vec![(0, queries.to_bytes())]));
+        }
+        let state = self
+            .state
+            .as_ref()
+            .expect("bucket queries precede fallbacks");
+        if state.leftovers.is_empty() {
+            return Ok(None);
+        }
+        let full_params = SpirParams::new(self.group.clone(), self.n);
+        let mut fqueries = Vec::with_capacity(state.leftovers.len());
+        for &q in &state.leftovers {
+            let (fq, fst) =
+                spir::client_query(&full_params, self.pk, self.indices[q], &mut self.rng);
+            fqueries.push(fq);
+            self.fallbacks.push(fst);
+        }
+        Ok(Some(vec![(0, fqueries.to_bytes())]))
+    }
+
+    fn absorb(&mut self, step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        let answers = Vec::<spir::SpirWordsAnswer>::from_bytes(&replies[0])?;
+        let state = self.state.as_ref().expect("queries precede answers");
+        if step == 0 {
+            let values = client_decode_words(self.pk, self.sk, state, &answers, self.width)?;
+            self.values = Some(values);
+            return Ok(());
+        }
+        let full_params = SpirParams::new(self.group.clone(), self.n);
+        let values = self
+            .values
+            .as_mut()
+            .expect("bucket answers precede fallbacks");
+        for ((&q, st), a) in state.leftovers.iter().zip(&self.fallbacks).zip(&answers) {
+            values[q] = spir::client_decode_words(&full_params, self.pk, self.sk, st, a)?;
+        }
+        Ok(())
+    }
+
+    /// The wrapping sum of every retrieved word.
+    fn digest(&self) -> Option<u64> {
+        let values = self.values.as_ref()?;
+        Some(
+            values
+                .iter()
+                .flatten()
+                .fold(0u64, |acc, &w| acc.wrapping_add(w)),
+        )
+    }
+}
+
 /// Runs the batched `SPIR(n, m, *)` over multi-word items: all bucket
 /// queries travel in one client message and all answers in one server
 /// message — a single round plus (rarely) one extra round of full-database
@@ -410,52 +599,16 @@ pub fn run_words<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized
     indices: &[usize],
     rng: &mut R,
 ) -> Result<(Vec<Vec<u64>>, BatchedStats), ProtocolError> {
-    let _proto = spfe_obs::span("batched");
     let width = db.first().map_or(0, |it| it.len());
-    let (queries, state) = {
-        let _s = spfe_obs::span("query-gen");
-        client_query(group, pk, db.len(), indices, rng)
-    };
-    let queries = t.client_to_server(0, "batched-queries", &queries)?;
-    let answers = {
-        let _s = spfe_obs::span("server-scan");
-        server_answer_words(group, pk, db, &queries, rng)?
-    };
-    let answers = t.server_to_client(0, "batched-answers", &answers)?;
-    let mut values = {
-        let _s = spfe_obs::span("reconstruct");
-        client_decode_words(pk, sk, &state, &answers, width)?
-    };
-
-    // Fallbacks: full-database retrievals, batched into one extra exchange.
-    if !state.leftovers.is_empty() {
-        let _s = spfe_obs::span("fallbacks");
-        let full_params = SpirParams::new(group.clone(), db.len());
-        let mut fqueries = Vec::with_capacity(state.leftovers.len());
-        let mut fstates = Vec::with_capacity(state.leftovers.len());
-        for &q in &state.leftovers {
-            let (fq, fst) = spir::client_query(&full_params, pk, indices[q], rng);
-            fqueries.push(fq);
-            fstates.push(fst);
-        }
-        let fqueries = t.client_to_server(0, "batched-fallback-queries", &fqueries)?;
-        let fanswers: Vec<spir::SpirWordsAnswer> = fqueries
-            .iter()
-            .map(|fq| spir::server_answer_words(&full_params, pk, db, fq, rng))
-            .collect::<Result<_, _>>()?;
-        let fanswers = t.server_to_client(0, "batched-fallback-answers", &fanswers)?;
-        for ((&q, st), a) in state.leftovers.iter().zip(&fstates).zip(&fanswers) {
-            values[q] = spir::client_decode_words(&full_params, pk, sk, st, a)?;
-        }
-    }
-
-    Ok((
-        values,
-        BatchedStats {
-            bucket_queries: state.owners.len(),
-            fallbacks: state.leftovers.len(),
-        },
-    ))
+    let rng = SharedRng::new(rng);
+    let client = BatchedClient::new(group.clone(), pk, sk, db.len(), width, indices, &rng);
+    let mut client = RoundClient::new(client);
+    let server = BatchedServer::new(group.clone(), pk, db, &rng);
+    pump(t, &mut client, &mut [RoundServer::new(0, server)])?;
+    Ok(client
+        .into_inner()
+        .output()
+        .expect("pump finished the session"))
 }
 
 /// Runs the batched `SPIR(n, m, *)` over single-word items, returning the

@@ -13,11 +13,12 @@
 //! [`crate::spir`].
 
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
-use spfe_math::{Nat, RandomSource};
+use spfe_math::{Nat, RandomSource, SharedRng};
 use spfe_transport::{
-    Channel, ChannelExt, ClientCore, OutMsg, ProtocolError, Reader, SessionCore, SessionState,
-    Wire, WireError,
+    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
+    RoundServer, ServerRounds, Wire, WireError,
 };
+use std::borrow::Cow;
 
 /// Matrix layout for a database of `n` items.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -226,6 +227,100 @@ pub fn client_decode<P: HomomorphicPk, S: HomomorphicSk<P>>(
         })
 }
 
+/// The protocol's single exchange: an encrypted row selector up, the
+/// column ciphertexts down.
+pub const EXCHANGES: &[Exchange] = &[Exchange::new(
+    "hompir",
+    "hompir-query",
+    "hompir-answer",
+    "server-scan",
+)];
+
+/// Server half of √n homomorphic PIR.
+#[derive(Debug)]
+pub struct HomPirServer<'a, P> {
+    pk: &'a P,
+    layout: Layout,
+    db: Cow<'a, [u64]>,
+}
+
+impl<'a, P: HomomorphicPk> HomPirServer<'a, P> {
+    /// A server holding `db` under the square layout for its size.
+    pub fn new(pk: &'a P, db: impl Into<Cow<'a, [u64]>>) -> Self {
+        let db = db.into();
+        HomPirServer {
+            pk,
+            layout: Layout::square(db.len()),
+            db,
+        }
+    }
+}
+
+impl<P: HomomorphicPk> ServerRounds for HomPirServer<'_, P> {
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        let query = HomPirQuery::from_bytes(query)?;
+        let columns = server_answer(self.pk, &self.layout, &self.db, &query)?;
+        Ok(answer_to_wire(self.pk, &columns).to_bytes())
+    }
+}
+
+/// Client half of √n homomorphic PIR: query, then decode the answer.
+#[derive(Debug)]
+pub struct HomPirClient<'a, P, S, R> {
+    pk: &'a P,
+    sk: &'a S,
+    layout: Layout,
+    index: usize,
+    rng: R,
+    result: Option<u64>,
+}
+
+impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> HomPirClient<'a, P, S, R> {
+    /// A client retrieving `index` from an `n`-item database.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when the query is built) if `index` is outside the layout.
+    pub fn new(pk: &'a P, sk: &'a S, n: usize, index: usize, rng: R) -> Self {
+        HomPirClient {
+            pk,
+            sk,
+            layout: Layout::square(n),
+            index,
+            rng,
+            result: None,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> ClientRounds
+    for HomPirClient<'_, P, S, R>
+{
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn queries(&mut self, _step: usize) -> Result<Option<Queries>, ProtocolError> {
+        let q = client_query(self.pk, &self.layout, self.index, &mut self.rng);
+        Ok(Some(vec![(0, q.to_bytes())]))
+    }
+
+    fn absorb(&mut self, _step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        let answer = HomPirAnswer::from_bytes(&replies[0])?;
+        let item = client_decode(self.pk, self.sk, &self.layout, self.index, &answer)?;
+        self.result = Some(item);
+        Ok(())
+    }
+
+    fn digest(&self) -> Option<u64> {
+        self.result
+    }
+}
+
 /// Runs the full single-server protocol over a metered channel.
 ///
 /// # Errors
@@ -244,160 +339,10 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     index: usize,
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
-    let _proto = spfe_obs::span("hompir");
-    let layout = Layout::square(db.len());
-    let q = {
-        let _s = spfe_obs::span("query-gen");
-        client_query(pk, &layout, index, rng)
-    };
-    let q = t.client_to_server(0, "hompir-query", &q)?;
-    let a = {
-        let _s = spfe_obs::span("server-scan");
-        let cols = server_answer(pk, &layout, db, &q)?;
-        answer_to_wire(pk, &cols)
-    };
-    let a = t.server_to_client(0, "hompir-answer", &a)?;
-    let _s = spfe_obs::span("reconstruct");
-    client_decode(pk, sk, &layout, index, &a)
-}
-
-// ---------------------------------------------------------------------------
-// Sans-io state machines (DESIGN.md §15), calling the same
-// client_query/server_answer/client_decode functions as the monolithic
-// [`run`] so every transport produces identical wire bytes and op counts.
-// ---------------------------------------------------------------------------
-
-/// Server half of √n homomorphic PIR as a sans-io state machine.
-#[derive(Debug)]
-pub struct HomPirServerCore<P: HomomorphicPk> {
-    pk: P,
-    layout: Layout,
-    db: Vec<u64>,
-    answered: bool,
-}
-
-impl<P: HomomorphicPk> HomPirServerCore<P> {
-    /// A core holding `db` under the square layout for its size.
-    pub fn new(pk: P, db: Vec<u64>) -> Self {
-        let layout = Layout::square(db.len());
-        HomPirServerCore {
-            pk,
-            layout,
-            db,
-            answered: false,
-        }
-    }
-}
-
-impl<P: HomomorphicPk> SessionCore for HomPirServerCore<P> {
-    fn on_message(
-        &mut self,
-        _half_round: u32,
-        _server: usize,
-        label: &str,
-        payload: &[u8],
-    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "hompir-query" || self.answered {
-            return Err(ProtocolError::InvalidMessage {
-                label: "hompir-query",
-                reason: "unexpected message for a hom_pir server",
-            });
-        }
-        let query = HomPirQuery::from_bytes(payload)?;
-        let columns = server_answer(&self.pk, &self.layout, &self.db, &query)?;
-        let answer = answer_to_wire(&self.pk, &columns);
-        self.answered = true;
-        Ok((
-            SessionState::Done,
-            vec![OutMsg::to_client(0, "hompir-answer", answer.to_bytes())],
-        ))
-    }
-}
-
-/// Client half of √n homomorphic PIR: query at start, decode on answer.
-#[derive(Debug)]
-pub struct HomPirClientCore<P: HomomorphicPk, S: HomomorphicSk<P>> {
-    pk: P,
-    sk: S,
-    layout: Layout,
-    index: usize,
-    query: Option<HomPirQuery>,
-    result: Option<u64>,
-}
-
-impl<P: HomomorphicPk, S: HomomorphicSk<P>> HomPirClientCore<P, S> {
-    /// A client core retrieving `index` from an `n`-item database. The
-    /// encrypted selector is generated here — all randomness is consumed
-    /// at construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is outside the layout for `n`.
-    pub fn new<R: RandomSource + ?Sized>(
-        pk: P,
-        sk: S,
-        n: usize,
-        index: usize,
-        rng: &mut R,
-    ) -> Self {
-        let layout = Layout::square(n);
-        let query = client_query(&pk, &layout, index, rng);
-        HomPirClientCore {
-            pk,
-            sk,
-            layout,
-            index,
-            query: Some(query),
-            result: None,
-        }
-    }
-}
-
-impl<P: HomomorphicPk, S: HomomorphicSk<P>> SessionCore for HomPirClientCore<P, S> {
-    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        let q = self.query.take().ok_or(ProtocolError::InvalidMessage {
-            label: "hompir-query",
-            reason: "hom_pir client core started twice",
-        })?;
-        Ok((
-            SessionState::Running,
-            vec![OutMsg::to_server(0, "hompir-query", q.to_bytes())],
-        ))
-    }
-
-    fn on_message(
-        &mut self,
-        _half_round: u32,
-        server: usize,
-        label: &str,
-        payload: &[u8],
-    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "hompir-answer" || server != 0 || self.result.is_some() {
-            return Err(ProtocolError::InvalidMessage {
-                label: "hompir-answer",
-                reason: "unexpected message for the hom_pir client",
-            });
-        }
-        let answer = HomPirAnswer::from_bytes(payload)?;
-        self.result = Some(client_decode(
-            &self.pk,
-            &self.sk,
-            &self.layout,
-            self.index,
-            &answer,
-        )?);
-        Ok((SessionState::Done, Vec::new()))
-    }
-}
-
-impl<P: HomomorphicPk, S: HomomorphicSk<P>> ClientCore for HomPirClientCore<P, S> {
-    fn digest(&self) -> Option<u64> {
-        self.result
-    }
-
-    fn static_label(&self, label: &str) -> Option<&'static str> {
-        (label == "hompir-answer").then_some("hompir-answer")
-    }
+    let rng = SharedRng::new(rng);
+    let mut client = RoundClient::new(HomPirClient::new(pk, sk, db.len(), index, &rng));
+    let mut servers = [RoundServer::new(0, HomPirServer::new(pk, db))];
+    pump(t, &mut client, &mut servers)
 }
 
 #[cfg(test)]

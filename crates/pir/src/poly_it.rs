@@ -15,11 +15,12 @@
 //! so the client learns *only* `x_i` (SPIR).
 
 use spfe_circuits::formula::{encode_index, index_bits, selector_eval};
-use spfe_math::{Fp64, Poly, RandomSource};
+use spfe_math::{Fp64, Poly, RandomSource, SharedRng};
 use spfe_transport::{
-    Channel, ChannelExt, ClientCore, OutMsg, ProtocolError, Reader, SessionCore, SessionState,
-    Wire, WireError,
+    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
+    RoundServer, ServerRounds, Wire, WireError,
 };
+use std::borrow::Cow;
 
 /// Parameters of the scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -160,6 +161,131 @@ pub fn client_reconstruct(params: &PolyItParams, answers: &[u64]) -> u64 {
     Poly::interpolate_at(&xs, &answers[..k], 0, params.field)
 }
 
+/// The protocol's single exchange: one curve point to each server, one
+/// field element back.
+pub const EXCHANGES: &[Exchange] = &[Exchange::new(
+    "polyit",
+    "polyit-query",
+    "polyit-answer",
+    "server-scan",
+)];
+
+/// Server `h` of the k-server interpolation PIR, optionally adding the
+/// servers' shared blinding polynomial (the symmetric scheme).
+#[derive(Debug)]
+pub struct PolyItServer<'a> {
+    index: usize,
+    params: PolyItParams,
+    db: Cow<'a, [u64]>,
+    blind: Option<Poly>,
+}
+
+impl<'a> PolyItServer<'a> {
+    /// Server `index` holding `db`; `blind` is the shared blinding
+    /// polynomial of the symmetric scheme.
+    pub fn new(
+        index: usize,
+        params: PolyItParams,
+        db: impl Into<Cow<'a, [u64]>>,
+        blind: Option<Poly>,
+    ) -> Self {
+        PolyItServer {
+            index,
+            params,
+            db: db.into(),
+            blind,
+        }
+    }
+}
+
+impl ServerRounds for PolyItServer<'_> {
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        let query = PolyItQuery::from_bytes(query)?;
+        let answer = match &self.blind {
+            None => server_answer(&self.params, &self.db, &query)?,
+            Some(blind) => {
+                server_answer_blinded(&self.params, &self.db, &query, blind, self.index)?
+            }
+        };
+        Ok(answer.to_bytes())
+    }
+}
+
+/// Client half of the k-server interpolation PIR: one query per server,
+/// interpolation once every answer arrived.
+#[derive(Debug)]
+pub struct PolyItClient<R> {
+    params: PolyItParams,
+    index: usize,
+    rng: R,
+    result: Option<u64>,
+}
+
+impl<R: RandomSource> PolyItClient<R> {
+    /// A client retrieving `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when the queries are built) if `index` does not fit in
+    /// `ℓ` bits.
+    pub fn new(params: PolyItParams, index: usize, rng: R) -> Self {
+        PolyItClient {
+            params,
+            index,
+            rng,
+            result: None,
+        }
+    }
+}
+
+impl<R: RandomSource> ClientRounds for PolyItClient<R> {
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn queries(&mut self, _step: usize) -> Result<Option<Queries>, ProtocolError> {
+        let queries = client_queries(&self.params, self.index, &mut self.rng);
+        Ok(Some(
+            queries.iter().map(Wire::to_bytes).enumerate().collect(),
+        ))
+    }
+
+    fn absorb(&mut self, _step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        let answers: Vec<u64> = replies
+            .iter()
+            .map(|r| u64::from_bytes(r))
+            .collect::<Result<_, _>>()?;
+        self.result = Some(client_reconstruct(&self.params, &answers));
+        Ok(())
+    }
+
+    fn digest(&self) -> Option<u64> {
+        self.result
+    }
+}
+
+/// Pumps one retrieval of `index` against `k` servers holding `db`.
+fn pump_retrieval<R: RandomSource + ?Sized>(
+    t: &mut dyn Channel,
+    params: &PolyItParams,
+    db: &[u64],
+    index: usize,
+    blind: Option<Poly>,
+    rng: &mut R,
+) -> Result<u64, ProtocolError> {
+    assert_eq!(t.num_servers(), params.num_servers());
+    let rng = SharedRng::new(rng);
+    let mut client = RoundClient::new(PolyItClient::new(*params, index, &rng));
+    let mut servers: Vec<_> = (0..params.num_servers())
+        .map(|h| RoundServer::new(h, PolyItServer::new(h, *params, db, blind.clone())))
+        .collect();
+    pump(t, &mut client, &mut servers)
+}
+
 /// Runs the full protocol over a metered channel (plain PIR).
 ///
 /// # Errors
@@ -176,30 +302,7 @@ pub fn run<R: RandomSource + ?Sized>(
     index: usize,
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
-    assert_eq!(t.num_servers(), params.num_servers());
-    let _proto = spfe_obs::span("polyit");
-    let queries = {
-        let _s = spfe_obs::span("query-gen");
-        client_queries(params, index, rng)
-    };
-    let received: Vec<PolyItQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "polyit-query", q))
-        .collect::<Result<_, _>>()?;
-    let answers: Vec<u64> = {
-        let _s = spfe_obs::span("server-scan");
-        received
-            .iter()
-            .enumerate()
-            .map(|(h, q)| {
-                let a = server_answer(params, db, q)?;
-                t.server_to_client(h, "polyit-answer", &a)
-            })
-            .collect::<Result<_, _>>()?
-    };
-    let _s = spfe_obs::span("reconstruct");
-    Ok(client_reconstruct(params, &answers))
+    pump_retrieval(t, params, db, index, None, rng)
 }
 
 /// Runs the full protocol with \[25\]-style symmetric privacy (SPIR): the
@@ -220,169 +323,12 @@ pub fn run_symmetric<R: RandomSource + ?Sized>(
     shared_seed: u64,
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
-    assert_eq!(t.num_servers(), params.num_servers());
-    let _proto = spfe_obs::span("polyit-sym");
-    let queries = {
-        let _s = spfe_obs::span("query-gen");
-        client_queries(params, index, rng)
-    };
-    let received: Vec<PolyItQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "polyit-query", q))
-        .collect::<Result<_, _>>()?;
-    let answers: Vec<u64> = {
-        let _s = spfe_obs::span("server-scan");
-        received
-            .iter()
-            .enumerate()
-            .map(|(h, q)| {
-                // Each server re-derives the same R from the common random input.
-                let mut server_rng = spfe_crypto::ChaChaRng::from_u64_seed(shared_seed);
-                let blind = blinding_poly(params, &mut server_rng);
-                let a = server_answer_blinded(params, db, q, &blind, h)?;
-                t.server_to_client(h, "polyit-answer", &a)
-            })
-            .collect::<Result<_, _>>()?
-    };
-    let _s = spfe_obs::span("reconstruct");
-    Ok(client_reconstruct(params, &answers))
-}
-
-// ---------------------------------------------------------------------------
-// Sans-io state machines (DESIGN.md §15) for the plain (unblinded) scheme
-// — the configuration the conformance harness runs. They call the same
-// client_queries/server_answer/client_reconstruct as the monolithic
-// [`run`], so every transport yields identical bytes and op counts.
-// ---------------------------------------------------------------------------
-
-/// Server `h` of the k-server interpolation PIR as a sans-io machine.
-#[derive(Debug)]
-pub struct PolyItServerCore {
-    index: usize,
-    params: PolyItParams,
-    db: Vec<u64>,
-    answered: bool,
-}
-
-impl PolyItServerCore {
-    /// A core for server `index` holding `db` under `params`.
-    pub fn new(index: usize, params: PolyItParams, db: Vec<u64>) -> Self {
-        PolyItServerCore {
-            index,
-            params,
-            db,
-            answered: false,
-        }
-    }
-}
-
-impl SessionCore for PolyItServerCore {
-    fn on_message(
-        &mut self,
-        _half_round: u32,
-        _server: usize,
-        label: &str,
-        payload: &[u8],
-    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "polyit-query" || self.answered {
-            return Err(ProtocolError::InvalidMessage {
-                label: "polyit-query",
-                reason: "unexpected message for a poly_it server",
-            });
-        }
-        let query = PolyItQuery::from_bytes(payload)?;
-        let answer = server_answer(&self.params, &self.db, &query)?;
-        self.answered = true;
-        Ok((
-            SessionState::Done,
-            vec![OutMsg::to_client(
-                self.index,
-                "polyit-answer",
-                answer.to_bytes(),
-            )],
-        ))
-    }
-}
-
-/// Client half of the k-server interpolation PIR: all `k` queries at
-/// start, reconstruct once every answer arrived.
-#[derive(Debug)]
-pub struct PolyItClientCore {
-    params: PolyItParams,
-    queries: Option<Vec<PolyItQuery>>,
-    answers: Vec<Option<u64>>,
-    result: Option<u64>,
-}
-
-impl PolyItClientCore {
-    /// A client core retrieving `index`; the random curves are drawn here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` does not fit in the parameters' `ℓ` bits.
-    pub fn new<R: RandomSource + ?Sized>(params: PolyItParams, index: usize, rng: &mut R) -> Self {
-        let queries = client_queries(&params, index, rng);
-        let k = params.num_servers();
-        PolyItClientCore {
-            params,
-            queries: Some(queries),
-            answers: vec![None; k],
-            result: None,
-        }
-    }
-}
-
-impl SessionCore for PolyItClientCore {
-    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        let queries = self.queries.take().ok_or(ProtocolError::InvalidMessage {
-            label: "polyit-query",
-            reason: "poly_it client core started twice",
-        })?;
-        Ok((
-            SessionState::Running,
-            queries
-                .iter()
-                .enumerate()
-                .map(|(h, q)| OutMsg::to_server(h, "polyit-query", q.to_bytes()))
-                .collect(),
-        ))
-    }
-
-    fn on_message(
-        &mut self,
-        _half_round: u32,
-        server: usize,
-        label: &str,
-        payload: &[u8],
-    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "polyit-answer"
-            || server >= self.answers.len()
-            || self.answers[server].is_some()
-        {
-            return Err(ProtocolError::InvalidMessage {
-                label: "polyit-answer",
-                reason: "unexpected message for the poly_it client",
-            });
-        }
-        self.answers[server] = Some(u64::from_bytes(payload)?);
-        if self.answers.iter().all(Option::is_some) {
-            let answers: Vec<u64> = self.answers.iter().map(|a| a.unwrap()).collect();
-            self.result = Some(client_reconstruct(&self.params, &answers));
-            return Ok((SessionState::Done, Vec::new()));
-        }
-        Ok((SessionState::Running, Vec::new()))
-    }
-}
-
-impl ClientCore for PolyItClientCore {
-    fn digest(&self) -> Option<u64> {
-        self.result
-    }
-
-    fn static_label(&self, label: &str) -> Option<&'static str> {
-        (label == "polyit-answer").then_some("polyit-answer")
-    }
+    // Every server derives the same R from the common random input.
+    let blind = blinding_poly(
+        params,
+        &mut spfe_crypto::ChaChaRng::from_u64_seed(shared_seed),
+    );
+    pump_retrieval(t, params, db, index, Some(blind), rng)
 }
 
 #[cfg(test)]

@@ -17,8 +17,12 @@
 
 use crate::hom_pir::Layout;
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
-use spfe_math::{Nat, RandomSource};
-use spfe_transport::{Channel, ChannelExt, ProtocolError, Reader, Wire, WireError};
+use spfe_math::{Nat, RandomSource, SharedRng};
+use spfe_transport::{
+    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
+    RoundServer, ServerRounds, Wire, WireError,
+};
+use std::borrow::Cow;
 
 /// Dimensions of the two recursion levels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,6 +37,13 @@ pub struct RecursiveLayout {
     pub c2: usize,
 }
 
+/// ⌈n^{1/3}⌉ in exact integer arithmetic: the smallest `c` with `c³ ≥ n`.
+fn ceil_cbrt(n: usize) -> usize {
+    (1usize..)
+        .find(|c| c.checked_pow(3).is_none_or(|c3| c3 >= n))
+        .expect("some cube exceeds n")
+}
+
 impl RecursiveLayout {
     /// Balanced dimensions for `n` items: all three query/answer lengths
     /// ≈ `n^{1/3}`-scale.
@@ -42,10 +53,9 @@ impl RecursiveLayout {
     /// Panics if `n == 0`.
     pub fn balanced(n: usize) -> Self {
         assert!(n > 0);
-        let cube = (n as f64).powf(1.0 / 3.0).ceil() as usize;
-        let d1 = cube.max(1);
+        let d1 = ceil_cbrt(n);
         let d2 = n.div_ceil(d1);
-        let r2 = (d2 as f64).sqrt().ceil() as usize;
+        let r2 = d2.isqrt() + usize::from(d2.isqrt().pow(2) < d2);
         let c2 = d2.div_ceil(r2.max(1));
         RecursiveLayout {
             d1,
@@ -269,6 +279,99 @@ pub fn client_decode<P: HomomorphicPk, S: HomomorphicSk<P>>(
     sk.decrypt(&inner).to_u64().ok_or(BAD)
 }
 
+/// The protocol's single exchange: both encrypted selectors up, the
+/// second-level answer ciphertexts down.
+pub const EXCHANGES: &[Exchange] = &[Exchange::new(
+    "recpir",
+    "recpir-query",
+    "recpir-answer",
+    "server-scan",
+)];
+
+/// Server half of depth-2 recursive PIR.
+#[derive(Debug)]
+pub struct RecursiveServer<'a, P> {
+    pk: &'a P,
+    layout: RecursiveLayout,
+    db: Cow<'a, [u64]>,
+}
+
+impl<'a, P: HomomorphicPk> RecursiveServer<'a, P> {
+    /// A server holding `db` under the balanced layout for its size.
+    pub fn new(pk: &'a P, db: impl Into<Cow<'a, [u64]>>) -> Self {
+        let db = db.into();
+        RecursiveServer {
+            pk,
+            layout: RecursiveLayout::balanced(db.len()),
+            db,
+        }
+    }
+}
+
+impl<P: HomomorphicPk> ServerRounds for RecursiveServer<'_, P> {
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        let query = RecursiveQuery::from_bytes(query)?;
+        Ok(server_answer(self.pk, &self.layout, &self.db, &query)?.to_bytes())
+    }
+}
+
+/// Client half of depth-2 recursive PIR: query, then decrypt twice.
+#[derive(Debug)]
+pub struct RecursiveClient<'a, P, S, R> {
+    pk: &'a P,
+    sk: &'a S,
+    layout: RecursiveLayout,
+    index: usize,
+    rng: R,
+    result: Option<u64>,
+}
+
+impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> RecursiveClient<'a, P, S, R> {
+    /// A client retrieving `index` from an `n`-item database.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when the query is built) if `index >= n`.
+    pub fn new(pk: &'a P, sk: &'a S, n: usize, index: usize, rng: R) -> Self {
+        RecursiveClient {
+            pk,
+            sk,
+            layout: RecursiveLayout::balanced(n),
+            index,
+            rng,
+            result: None,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> ClientRounds
+    for RecursiveClient<'_, P, S, R>
+{
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn queries(&mut self, _step: usize) -> Result<Option<Queries>, ProtocolError> {
+        let q = client_query(self.pk, &self.layout, self.index, &mut self.rng);
+        Ok(Some(vec![(0, q.to_bytes())]))
+    }
+
+    fn absorb(&mut self, _step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        let answer = Vec::<Vec<Vec<u8>>>::from_bytes(&replies[0])?;
+        let item = client_decode(self.pk, self.sk, &self.layout, self.index, &answer)?;
+        self.result = Some(item);
+        Ok(())
+    }
+
+    fn digest(&self) -> Option<u64> {
+        self.result
+    }
+}
+
 /// Runs the depth-2 scheme over a metered channel.
 ///
 /// # Errors
@@ -286,20 +389,10 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     index: usize,
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
-    let _proto = spfe_obs::span("recpir");
-    let layout = RecursiveLayout::balanced(db.len());
-    let q = {
-        let _s = spfe_obs::span("query-gen");
-        client_query(pk, &layout, index, rng)
-    };
-    let q = t.client_to_server(0, "recpir-query", &q)?;
-    let a = {
-        let _s = spfe_obs::span("server-scan");
-        server_answer(pk, &layout, db, &q)?
-    };
-    let a = t.server_to_client(0, "recpir-answer", &a)?;
-    let _s = spfe_obs::span("reconstruct");
-    client_decode(pk, sk, &layout, index, &a)
+    let rng = SharedRng::new(rng);
+    let mut client = RoundClient::new(RecursiveClient::new(pk, sk, db.len(), index, &rng));
+    let mut servers = [RoundServer::new(0, RecursiveServer::new(pk, db))];
+    pump(t, &mut client, &mut servers)
 }
 
 #[cfg(test)]
@@ -317,6 +410,18 @@ mod tests {
 
     fn db(n: usize) -> Vec<u64> {
         (0..n as u64).map(|i| i * 11 + 3).collect()
+    }
+
+    #[test]
+    fn ceil_cbrt_is_exact_at_cube_boundaries() {
+        for c in 1..300usize {
+            let n = c * c * c;
+            assert_eq!(ceil_cbrt(n), c, "n={n}");
+            assert_eq!(ceil_cbrt(n + 1), c + 1, "n={}", n + 1);
+            if n > 1 {
+                assert_eq!(ceil_cbrt(n - 1), c, "n={}", n - 1);
+            }
+        }
     }
 
     #[test]

@@ -17,9 +17,13 @@ use crate::hom_pir::{self, HomPirAnswer, HomPirQuery, Layout};
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
 use spfe_math::modular::mod_sub;
-use spfe_math::{Nat, RandomSource};
+use spfe_math::{Nat, RandomSource, SharedRng};
 use spfe_ot::{ot2, ot_n};
-use spfe_transport::{Channel, ChannelExt, ProtocolError, Reader, Wire, WireError};
+use spfe_transport::{
+    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
+    RoundServer, ServerRounds, Wire, WireError,
+};
+use std::borrow::Cow;
 
 /// Domain-separation label for the OT's deterministic setup element.
 const OT_SETUP_LABEL: &[u8] = b"spfe-spir-pad-ot";
@@ -464,7 +468,105 @@ pub fn run_words<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized
     client_decode_words(params, pk, sk, &state, &a)
 }
 
-/// Runs the full 1-round SPIR over a metered channel.
+/// The protocol's single exchange: PIR selector + pad OT query up,
+/// padded columns + pad OT answer down.
+pub const EXCHANGES: &[Exchange] = &[Exchange::new(
+    "spir",
+    "spir-query",
+    "spir-answer",
+    "server-scan",
+)];
+
+/// Server half of single-server SPIR; its pads come from its own `rng`.
+#[derive(Debug)]
+pub struct SpirServer<'a, P, R> {
+    params: SpirParams,
+    pk: &'a P,
+    db: Cow<'a, [u64]>,
+    rng: R,
+}
+
+impl<'a, P: HomomorphicPk, R: RandomSource> SpirServer<'a, P, R> {
+    /// A server holding `db` (of `params.n` items).
+    pub fn new(params: SpirParams, pk: &'a P, db: impl Into<Cow<'a, [u64]>>, rng: R) -> Self {
+        SpirServer {
+            params,
+            pk,
+            db: db.into(),
+            rng,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, R: RandomSource> ServerRounds for SpirServer<'_, P, R> {
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        let query = SpirQuery::from_bytes(query)?;
+        let answer = server_answer(&self.params, self.pk, &self.db, &query, &mut self.rng)?;
+        Ok(answer.to_bytes())
+    }
+}
+
+/// Client half of single-server SPIR: query, then unpad the one item.
+#[derive(Debug)]
+pub struct SpirClient<'a, P, S, R> {
+    params: SpirParams,
+    pk: &'a P,
+    sk: &'a S,
+    index: usize,
+    rng: R,
+    state: Option<SpirClientState>,
+    result: Option<u64>,
+}
+
+impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> SpirClient<'a, P, S, R> {
+    /// A client retrieving `index` (below `params.n`).
+    pub fn new(params: SpirParams, pk: &'a P, sk: &'a S, index: usize, rng: R) -> Self {
+        SpirClient {
+            params,
+            pk,
+            sk,
+            index,
+            rng,
+            state: None,
+            result: None,
+        }
+    }
+}
+
+impl<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> ClientRounds
+    for SpirClient<'_, P, S, R>
+{
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn queries(&mut self, _step: usize) -> Result<Option<Queries>, ProtocolError> {
+        let (q, state) = client_query(&self.params, self.pk, self.index, &mut self.rng);
+        self.state = Some(state);
+        Ok(Some(vec![(0, q.to_bytes())]))
+    }
+
+    fn absorb(&mut self, _step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        let answer = SpirAnswer::from_bytes(&replies[0])?;
+        let state = self
+            .state
+            .as_ref()
+            .expect("query state precedes the answer");
+        let item = client_decode(&self.params, self.pk, self.sk, state, &answer)?;
+        self.result = Some(item);
+        Ok(())
+    }
+
+    fn digest(&self) -> Option<u64> {
+        self.result
+    }
+}
+
+/// Runs the single-item SPIR over a metered channel.
 ///
 /// # Errors
 ///
@@ -483,19 +585,10 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
     assert_eq!(db.len(), params.n, "db size mismatch");
-    let _proto = spfe_obs::span("spir");
-    let (q, state) = {
-        let _s = spfe_obs::span("query-gen");
-        client_query(params, pk, index, rng)
-    };
-    let q = t.client_to_server(0, "spir-query", &q)?;
-    let a = {
-        let _s = spfe_obs::span("server-scan");
-        server_answer(params, pk, db, &q, rng)?
-    };
-    let a = t.server_to_client(0, "spir-answer", &a)?;
-    let _s = spfe_obs::span("reconstruct");
-    client_decode(params, pk, sk, &state, &a)
+    let rng = SharedRng::new(rng);
+    let mut client = RoundClient::new(SpirClient::new(params.clone(), pk, sk, index, &rng));
+    let server = SpirServer::new(params.clone(), pk, db, &rng);
+    pump(t, &mut client, &mut [RoundServer::new(0, server)])
 }
 
 #[cfg(test)]

@@ -7,11 +7,12 @@
 //! client privacy against one server. Communication: `n` bits up and one
 //! item down, per server.
 
-use spfe_math::RandomSource;
+use spfe_math::{RandomSource, SharedRng};
 use spfe_transport::{
-    Channel, ChannelExt, ClientCore, OutMsg, ProtocolError, Reader, SessionCore, SessionState,
-    Wire, WireError,
+    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
+    RoundServer, ServerRounds, Wire, WireError,
 };
+use std::borrow::Cow;
 
 /// A query: a subset of `[n]` as a packed bitmask.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -120,6 +121,89 @@ pub fn client_combine(a1: &[u8], a2: &[u8]) -> Result<Vec<u8>, ProtocolError> {
     Ok(a1.iter().zip(a2).map(|(&x, &y)| x ^ y).collect())
 }
 
+/// The protocol's single exchange: one subset query to each server, one
+/// XOR answer back.
+pub const EXCHANGES: &[Exchange] = &[Exchange::new(
+    "pir2",
+    "pir2-query",
+    "pir2-answer",
+    "server-scan",
+)];
+
+/// Server half of 2-server XOR PIR: XORs the items its query selects.
+#[derive(Debug)]
+pub struct Xor2Server<'a> {
+    db: Cow<'a, [Vec<u8>]>,
+}
+
+impl<'a> Xor2Server<'a> {
+    /// A server holding `db`.
+    pub fn new(db: impl Into<Cow<'a, [Vec<u8>]>>) -> Self {
+        Xor2Server { db: db.into() }
+    }
+}
+
+impl ServerRounds for Xor2Server<'_> {
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+        Ok(server_answer(&self.db, &Xor2Query::from_bytes(query)?)?.to_bytes())
+    }
+}
+
+/// Client half of 2-server XOR PIR: queries both servers, combines the
+/// two answers.
+#[derive(Debug)]
+pub struct Xor2Client<R> {
+    n: usize,
+    index: usize,
+    rng: R,
+    item: Option<Vec<u8>>,
+}
+
+impl<R: RandomSource> Xor2Client<R> {
+    /// A client retrieving `index` from an `n`-item database.
+    ///
+    /// # Panics
+    ///
+    /// Panics (when the queries are built) if `index >= n` or `n == 0`.
+    pub fn new(n: usize, index: usize, rng: R) -> Self {
+        Xor2Client {
+            n,
+            index,
+            rng,
+            item: None,
+        }
+    }
+}
+
+impl<R: RandomSource> ClientRounds for Xor2Client<R> {
+    fn exchanges(&self) -> &[Exchange] {
+        EXCHANGES
+    }
+
+    fn queries(&mut self, _step: usize) -> Result<Option<Queries>, ProtocolError> {
+        let (q1, q2) = client_query(self.n, self.index, &mut self.rng);
+        Ok(Some(vec![(0, q1.to_bytes()), (1, q2.to_bytes())]))
+    }
+
+    fn absorb(&mut self, _step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        let a1 = Vec::<u8>::from_bytes(&replies[0])?;
+        let a2 = Vec::<u8>::from_bytes(&replies[1])?;
+        self.item = Some(client_combine(&a1, &a2)?);
+        Ok(())
+    }
+
+    /// The byte-sum of the retrieved item.
+    fn digest(&self) -> Option<u64> {
+        self.item
+            .as_ref()
+            .map(|item| item.iter().map(|&b| u64::from(b)).sum())
+    }
+}
+
 /// Runs the full 2-server protocol over a metered channel, returning the
 /// retrieved item.
 ///
@@ -138,156 +222,11 @@ pub fn run<R: RandomSource + ?Sized>(
     rng: &mut R,
 ) -> Result<Vec<u8>, ProtocolError> {
     assert_eq!(t.num_servers(), 2, "xor2 PIR needs exactly 2 servers");
-    let _proto = spfe_obs::span("pir2");
-    let (q1, q2) = {
-        let _s = spfe_obs::span("query-gen");
-        client_query(db.len(), index, rng)
-    };
-    let q1 = t.client_to_server(0, "pir2-query", &q1)?;
-    let q2 = t.client_to_server(1, "pir2-query", &q2)?;
-    let (a1, a2) = {
-        let _s = spfe_obs::span("server-scan");
-        (server_answer(db, &q1)?, server_answer(db, &q2)?)
-    };
-    let a1 = t.server_to_client(0, "pir2-answer", &a1)?;
-    let a2 = t.server_to_client(1, "pir2-answer", &a2)?;
-    let _s = spfe_obs::span("reconstruct");
-    client_combine(&a1, &a2)
-}
-
-// ---------------------------------------------------------------------------
-// Sans-io state machines (DESIGN.md §15). The cores call exactly the
-// client_query/server_answer/client_combine functions the monolithic
-// [`run`] calls, so a pumped or networked execution produces the same
-// wire bytes and deterministic op counts as an in-memory run.
-// ---------------------------------------------------------------------------
-
-/// Server half of 2-server XOR PIR as a sans-io state machine: one query
-/// in, one answer out.
-#[derive(Debug)]
-pub struct Xor2ServerCore {
-    index: usize,
-    db: Vec<Vec<u8>>,
-    answered: bool,
-}
-
-impl Xor2ServerCore {
-    /// A core for server `index` holding `db`.
-    pub fn new(index: usize, db: Vec<Vec<u8>>) -> Self {
-        Xor2ServerCore {
-            index,
-            db,
-            answered: false,
-        }
-    }
-}
-
-impl SessionCore for Xor2ServerCore {
-    fn on_message(
-        &mut self,
-        _half_round: u32,
-        _server: usize,
-        label: &str,
-        payload: &[u8],
-    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "pir2-query" || self.answered {
-            return Err(ProtocolError::InvalidMessage {
-                label: "pir2-query",
-                reason: "unexpected message for a xor2 server",
-            });
-        }
-        let query = Xor2Query::from_bytes(payload)?;
-        let answer = server_answer(&self.db, &query)?;
-        self.answered = true;
-        Ok((
-            SessionState::Done,
-            vec![OutMsg::to_client(
-                self.index,
-                "pir2-answer",
-                answer.to_bytes(),
-            )],
-        ))
-    }
-}
-
-/// Client half of 2-server XOR PIR: emits both queries at start, combines
-/// the two answers. All randomness is consumed at construction.
-#[derive(Debug)]
-pub struct Xor2ClientCore {
-    queries: Option<(Xor2Query, Xor2Query)>,
-    answers: [Option<Vec<u8>>; 2],
-    item: Option<Vec<u8>>,
-}
-
-impl Xor2ClientCore {
-    /// A client core retrieving `index` from an `n`-item database.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= n` or `n == 0`.
-    pub fn new<R: RandomSource + ?Sized>(n: usize, index: usize, rng: &mut R) -> Self {
-        Xor2ClientCore {
-            queries: Some(client_query(n, index, rng)),
-            answers: [None, None],
-            item: None,
-        }
-    }
-
-    /// The retrieved item, once the session is done.
-    pub fn item(&self) -> Option<&[u8]> {
-        self.item.as_deref()
-    }
-}
-
-impl SessionCore for Xor2ClientCore {
-    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        let (q1, q2) = self.queries.take().ok_or(ProtocolError::InvalidMessage {
-            label: "pir2-query",
-            reason: "xor2 client core started twice",
-        })?;
-        Ok((
-            SessionState::Running,
-            vec![
-                OutMsg::to_server(0, "pir2-query", q1.to_bytes()),
-                OutMsg::to_server(1, "pir2-query", q2.to_bytes()),
-            ],
-        ))
-    }
-
-    fn on_message(
-        &mut self,
-        _half_round: u32,
-        server: usize,
-        label: &str,
-        payload: &[u8],
-    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-        if label != "pir2-answer" || server > 1 || self.answers[server].is_some() {
-            return Err(ProtocolError::InvalidMessage {
-                label: "pir2-answer",
-                reason: "unexpected message for the xor2 client",
-            });
-        }
-        self.answers[server] = Some(Vec::<u8>::from_bytes(payload)?);
-        if let [Some(a1), Some(a2)] = &self.answers {
-            self.item = Some(client_combine(a1, a2)?);
-            return Ok((SessionState::Done, Vec::new()));
-        }
-        Ok((SessionState::Running, Vec::new()))
-    }
-}
-
-impl ClientCore for Xor2ClientCore {
-    /// Digest convention of the conformance harness: the byte-sum of the
-    /// retrieved item.
-    fn digest(&self) -> Option<u64> {
-        self.item
-            .as_ref()
-            .map(|item| item.iter().map(|&b| u64::from(b)).sum())
-    }
-
-    fn static_label(&self, label: &str) -> Option<&'static str> {
-        (label == "pir2-answer").then_some("pir2-answer")
-    }
+    let rng = SharedRng::new(rng);
+    let mut client = RoundClient::new(Xor2Client::new(db.len(), index, &rng));
+    let mut servers = [0, 1].map(|i| RoundServer::new(i, Xor2Server::new(db)));
+    pump(t, &mut client, &mut servers)?;
+    Ok(client.into_inner().item.expect("pump finished the session"))
 }
 
 #[cfg(test)]

@@ -25,18 +25,27 @@
 
 use spfe_circuits::builders::sum_circuit;
 use spfe_core::database::reference;
-use spfe_core::input_select::select1;
-use spfe_core::multiserver::{self, MsFunction, MultiServerParams};
-use spfe_core::stats;
-use spfe_core::two_phase;
-use spfe_core::universal::universal_yao_phase;
-use spfe_core::{psm_spfe, Statistic};
+use spfe_core::input_select::{Select1Client, Select1Server, Select1Then};
+use spfe_core::multiserver::{MsClient, MsFunction, MsServer, MultiServerParams};
+use spfe_core::psm_spfe::{YaoPsmClient, YaoPsmServer};
+use spfe_core::stats::{
+    FrequencyClient, FrequencyServer, WeightedSumClient, WeightedSumServer, FREQUENCY,
+};
+use spfe_core::two_phase::yao_parties;
+use spfe_core::universal::universal_parties;
+use spfe_core::Statistic;
 use spfe_crypto::{ChaChaRng, HomomorphicScheme, Paillier, PaillierPk, PaillierSk, SchnorrGroup};
 use spfe_math::Fp64;
-use spfe_pir::poly_it::{self, PolyItParams};
-use spfe_pir::spir::{self, SpirParams};
-use spfe_pir::{batched, hom_pir, recursive, xor2};
-use spfe_transport::{Channel, ClientCore, FaultPlan, FaultyChannel, ProtocolError, SessionCore};
+use spfe_pir::batched::{BatchedClient, BatchedServer};
+use spfe_pir::hom_pir::{HomPirClient, HomPirServer};
+use spfe_pir::poly_it::{PolyItClient, PolyItParams, PolyItServer};
+use spfe_pir::recursive::{RecursiveClient, RecursiveServer};
+use spfe_pir::spir::{SpirClient, SpirParams, SpirServer};
+use spfe_pir::xor2::{Xor2Client, Xor2Server};
+use spfe_transport::{
+    pump, Channel, ClientCore, ClientRounds, FaultPlan, FaultyChannel, ProtocolError, RoundClient,
+    RoundServer, ServerRounds, SessionCore,
+};
 use std::sync::OnceLock;
 
 /// How many secret-input variants every driver supports (variant 0 is the
@@ -78,22 +87,12 @@ pub fn db16_v(v: usize) -> Vec<u64> {
         .collect()
 }
 
-/// The canonical 27-item database (variant 0 of [`db27_v`]).
-pub fn db27() -> Vec<u64> {
-    db27_v(0)
-}
-
 /// A 27-item database whose contents vary with the secret variant `v`.
 pub fn db27_v(v: usize) -> Vec<u64> {
     assert!(v < NUM_VARIANTS);
     (0..27u64)
         .map(|i| (i * 5 + 2 + 7 * v as u64) % 40)
         .collect()
-}
-
-/// The canonical 16×4-byte XOR-PIR database (variant 0 of [`xor_db_v`]).
-pub fn xor_db() -> Vec<Vec<u8>> {
-    xor_db_v(0)
 }
 
 /// A 16-record byte database whose contents vary with the secret variant.
@@ -113,9 +112,11 @@ pub fn xor_db_v(v: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The shared arithmetic field (public parameter, never varied).
+/// The shared arithmetic field (public parameter, never varied; the
+/// prime search runs once per process).
 pub fn field() -> Fp64 {
-    Fp64::at_least(1_000)
+    static FIELD: OnceLock<Fp64> = OnceLock::new();
+    *FIELD.get_or_init(|| Fp64::at_least(1_000))
 }
 
 /// Per-variant client index into a 16-item database (single-index
@@ -126,15 +127,33 @@ fn idx16(v: usize, choices: [usize; NUM_VARIANTS]) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// The driver table: every protocol in the workspace, each reduced to a
-// `u64` digest so one matrix covers them all.
+// The driver table: every protocol in the workspace as a client core plus
+// its server cores, each reduced to a `u64` digest so one matrix covers
+// them all. One constructor per driver builds both halves; the in-memory
+// runs pump them, the networked client and server host them.
 // ---------------------------------------------------------------------------
 
 /// A canonical (variant-0) driver entry point.
-pub type DriverFn = fn(&mut dyn Channel) -> Result<u64, ProtocolError>;
+pub type DriverFn = Box<dyn Fn(&mut dyn Channel) -> Result<u64, ProtocolError> + Send + Sync>;
 
 /// A driver entry point under secret variant `v < NUM_VARIANTS`.
-pub type VariantFn = fn(&mut dyn Channel, usize) -> Result<u64, ProtocolError>;
+pub type VariantFn =
+    Box<dyn Fn(&mut dyn Channel, usize) -> Result<u64, ProtocolError> + Send + Sync>;
+
+/// One driver's client core and server cores, built for one secret
+/// variant.
+pub struct Cores {
+    /// The client state machine.
+    pub client: Box<dyn ClientCore>,
+    /// One state machine per logical server.
+    pub servers: Vec<Box<dyn SessionCore>>,
+}
+
+/// Builds a driver's [`Cores`] under secret variant `v`.
+pub type CoresFn = fn(usize) -> Cores;
+
+/// The expected digest of a driver under secret variant `v`.
+pub type ExpectFn = fn(usize) -> u64;
 
 /// One row of the conformance/audit driver table.
 pub struct Driver {
@@ -144,19 +163,56 @@ pub struct Driver {
     pub servers: usize,
     /// Expected digest of the canonical (variant-0) run.
     pub expect: u64,
-    /// The canonical run (variant 0).
+    /// The canonical run (variant 0), pumped in memory.
     pub run: DriverFn,
-    /// The run under a chosen secret variant.
+    /// The run under a chosen secret variant, pumped in memory.
     pub run_variant: VariantFn,
     /// Expected digest per secret variant.
-    pub expect_variant: fn(usize) -> u64,
+    pub expect_variant: ExpectFn,
+    /// The constructor behind every run of the driver: in memory, and on
+    /// both ends of a TCP session.
+    pub cores: CoresFn,
+}
+
+impl Cores {
+    /// A client core against one server core per entry of `servers`.
+    fn new<S: ServerRounds + 'static>(
+        client: impl ClientRounds + 'static,
+        servers: impl IntoIterator<Item = S>,
+    ) -> Cores {
+        let servers = servers.into_iter().enumerate();
+        Cores {
+            client: Box::new(RoundClient::new(client)),
+            servers: servers
+                .map(|(i, s)| Box::new(RoundServer::new(i, s)) as Box<dyn SessionCore>)
+                .collect(),
+        }
+    }
+}
+
+/// The client's rng: the driver's own seed.
+fn client_rng(seed: u64) -> ChaChaRng {
+    ChaChaRng::from_u64_seed(seed)
+}
+
+/// A server-side rng stream derived from the driver's seed.
+fn server_rng(seed: u64, stream: Stream) -> ChaChaRng {
+    ChaChaRng::from_u64_seed(seed << 8 | stream as u64)
+}
+
+/// The independent randomness streams a server draws from.
+#[derive(Clone, Copy)]
+enum Stream {
+    /// SPIR pads, garbling seeds, masks and blinds.
+    Pads = 1,
+    /// select1's additive shares `a_j`.
+    Shares = 2,
 }
 
 /// xor2 variant `v`: two-server XOR PIR; the record index is the secret.
-pub fn drv_xor2_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA0);
-    let item = xor2::run(t, &xor_db_v(v), idx16(v, [5, 3, 12]), &mut rng)?;
-    Ok(item.iter().map(|&b| b as u64).sum())
+fn xor2_cores(v: usize) -> Cores {
+    let c = Xor2Client::new(16, idx16(v, [5, 3, 12]), client_rng(0xA0));
+    Cores::new(c, (0..2).map(|_| Xor2Server::new(xor_db_v(v))))
 }
 
 fn expect_xor2(v: usize) -> u64 {
@@ -166,89 +222,57 @@ fn expect_xor2(v: usize) -> u64 {
         .sum()
 }
 
-/// The canonical xor2 run.
-pub fn drv_xor2(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_xor2_v(t, 0)
-}
-
 /// hom_pir variant `v`: √n homomorphic PIR; index and db are the secrets.
-pub fn drv_hom_pir_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA1);
-    hom_pir::run(
-        t,
-        &fx().pk,
-        &fx().sk,
-        &db16_v(v),
-        idx16(v, [9, 0, 15]),
-        &mut rng,
-    )
+fn hom_pir_cores(v: usize) -> Cores {
+    let (pk, sk) = (&fx().pk, &fx().sk);
+    let c = HomPirClient::new(pk, sk, 16, idx16(v, [9, 0, 15]), client_rng(0xA1));
+    Cores::new(c, [HomPirServer::new(pk, db16_v(v))])
 }
 
 fn expect_hom_pir(v: usize) -> u64 {
     db16_v(v)[idx16(v, [9, 0, 15])]
 }
 
-/// The canonical hom_pir run.
-pub fn drv_hom_pir(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_hom_pir_v(t, 0)
-}
-
 /// recursive variant `v`: depth-2 recursive PIR on the 27-item db.
-pub fn drv_recursive_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA2);
-    let idx = [13, 1, 26][v];
-    recursive::run(t, &fx().pk, &fx().sk, &db27_v(v), idx, &mut rng)
+fn recursive_cores(v: usize) -> Cores {
+    let (pk, sk) = (&fx().pk, &fx().sk);
+    let c = RecursiveClient::new(pk, sk, 27, [13, 1, 26][v], client_rng(0xA2));
+    Cores::new(c, [RecursiveServer::new(pk, db27_v(v))])
 }
 
 fn expect_recursive(v: usize) -> u64 {
     db27_v(v)[[13, 1, 26][v]]
 }
 
-/// The canonical recursive run.
-pub fn drv_recursive(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_recursive_v(t, 0)
-}
-
 /// spir variant `v`: single-server SPIR; index and db are the secrets.
-pub fn drv_spir_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA3);
+fn spir_cores(v: usize) -> Cores {
+    let (pk, sk) = (&fx().pk, &fx().sk);
     let params = SpirParams::new(fx().group.clone(), 16);
-    spir::run(
-        t,
-        &params,
-        &fx().pk,
-        &fx().sk,
-        &db16_v(v),
+    let c = SpirClient::new(
+        params.clone(),
+        pk,
+        sk,
         idx16(v, [7, 2, 11]),
-        &mut rng,
-    )
+        client_rng(0xA3),
+    );
+    let s = SpirServer::new(params, pk, db16_v(v), server_rng(0xA3, Stream::Pads));
+    Cores::new(c, [s])
 }
 
 fn expect_spir(v: usize) -> u64 {
     db16_v(v)[idx16(v, [7, 2, 11])]
 }
 
-/// The canonical spir run.
-pub fn drv_spir(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_spir_v(t, 0)
-}
-
 const BATCHED_INDICES: [[usize; 4]; NUM_VARIANTS] = [[1, 5, 9, 14], [0, 2, 3, 15], [4, 7, 8, 12]];
 
 /// batched variant `v`: cuckoo-batched SPIR; the index *set* is the secret.
-pub fn drv_batched_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA4);
-    let f = fx();
-    let (vals, _) = batched::run(
-        t,
-        &f.group,
-        &f.pk,
-        &f.sk,
-        &db16_v(v),
-        &BATCHED_INDICES[v],
-        &mut rng,
-    )?;
-    Ok(vals.iter().sum())
+fn batched_cores(v: usize) -> Cores {
+    let (g, pk, sk) = (&fx().group, &fx().pk, &fx().sk);
+    let rng = client_rng(0xA4);
+    let c = BatchedClient::new(g.clone(), pk, sk, 16, 1, &BATCHED_INDICES[v], rng);
+    let words: Vec<_> = db16_v(v).into_iter().map(|x| vec![x]).collect();
+    let s = BatchedServer::new(g.clone(), pk, words, server_rng(0xA4, Stream::Pads));
+    Cores::new(c, [s])
 }
 
 fn expect_batched(v: usize) -> u64 {
@@ -256,24 +280,16 @@ fn expect_batched(v: usize) -> u64 {
     BATCHED_INDICES[v].iter().map(|&i| db[i]).sum()
 }
 
-/// The canonical batched run.
-pub fn drv_batched(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_batched_v(t, 0)
-}
-
 /// poly_it variant `v`: polynomial-interpolation PIR.
-pub fn drv_poly_it_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA5);
-    poly_it::run(t, &poly_params(), &db16_v(v), idx16(v, [5, 8, 2]), &mut rng)
+fn poly_it_cores(v: usize) -> Cores {
+    let params = poly_params();
+    let c = PolyItClient::new(params, idx16(v, [5, 8, 2]), client_rng(0xA5));
+    let server = |h| PolyItServer::new(h, params, db16_v(v), None);
+    Cores::new(c, (0..params.num_servers()).map(server))
 }
 
 fn expect_poly_it(v: usize) -> u64 {
     db16_v(v)[idx16(v, [5, 8, 2])]
-}
-
-/// The canonical poly_it run.
-pub fn drv_poly_it(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_poly_it_v(t, 0)
 }
 
 /// The shared poly_it parameters (public).
@@ -284,9 +300,11 @@ pub fn poly_params() -> PolyItParams {
 const MS_INDICES: [[usize; 2]; NUM_VARIANTS] = [[3, 10], [0, 15], [6, 7]];
 
 /// multiserver variant `v`: Theorem 2 multi-server SPFE, f = sum.
-pub fn drv_multiserver_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA6);
-    multiserver::run(t, &ms_params(), &db16_v(v), &MS_INDICES[v], None, &mut rng)
+fn multiserver_cores(v: usize) -> Cores {
+    let params = ms_params();
+    let c = MsClient::new(params.clone(), &MS_INDICES[v], client_rng(0xA6));
+    let server = |h| MsServer::new(h, params.clone(), db16_v(v), None);
+    Cores::new(c, (0..params.num_servers()).map(server))
 }
 
 fn expect_multiserver(v: usize) -> u64 {
@@ -294,63 +312,67 @@ fn expect_multiserver(v: usize) -> u64 {
     (db[MS_INDICES[v][0]] + db[MS_INDICES[v][1]]) % field().modulus()
 }
 
-/// The canonical multiserver run.
-pub fn drv_multiserver(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_multiserver_v(t, 0)
-}
-
 /// The shared multiserver parameters (public).
 pub fn ms_params() -> MultiServerParams {
     MultiServerParams::new(16, 1, field(), MsFunction::Sum { m: 2 })
 }
 
-const SELECT1_INDICES: [[usize; 2]; NUM_VARIANTS] = [[2, 7], [1, 14], [0, 9]];
+type Select1Halves = (
+    Select1Client<'static, PaillierPk, PaillierSk, ChaChaRng>,
+    Select1Server<'static, PaillierPk, ChaChaRng>,
+);
 
-/// input_select variant `v`: §3.3.1 input selection into shares.
-pub fn drv_select1_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA7);
+/// The two halves of select1 over the 16-item db at driver `seed`.
+fn select1_halves(seed: u64, v: usize, indices: &[usize]) -> Select1Halves {
     let f = fx();
-    let shares = select1(
-        t,
+    let c = Select1Client::new(
         &f.group,
         &f.pk,
         &f.sk,
-        &db16_v(v),
-        &SELECT1_INDICES[v],
+        16,
+        indices,
         field(),
-        &mut rng,
-    )?;
-    Ok(shares.reconstruct().iter().sum())
+        client_rng(seed),
+    );
+    let (pads, shares) = (
+        server_rng(seed, Stream::Pads),
+        server_rng(seed, Stream::Shares),
+    );
+    let m = indices.len();
+    (
+        c,
+        Select1Server::new(&f.group, &f.pk, db16_v(v), field(), m, pads, shares),
+    )
 }
 
+const SELECT1_INDICES: [[usize; 2]; NUM_VARIANTS] = [[2, 7], [1, 14], [0, 9]];
+
+/// input_select variant `v`: §3.3.1 input selection into shares; the
+/// client's digest is the sum of its own shares.
+fn select1_cores(v: usize) -> Cores {
+    let (c, s) = select1_halves(0xA7, v, &SELECT1_INDICES[v]);
+    Cores::new(c, [s])
+}
+
+/// `Σ (x_{i_j} − a_j) mod p`, replaying the server's share stream.
 fn expect_select1(v: usize) -> u64 {
-    let db = db16_v(v);
-    SELECT1_INDICES[v].iter().map(|&i| db[i]).sum()
-}
-
-/// The canonical input_select run.
-pub fn drv_select1(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_select1_v(t, 0)
+    let (db, f) = (db16_v(v), field());
+    let mut shares = server_rng(0xA7, Stream::Shares);
+    SELECT1_INDICES[v]
+        .iter()
+        .fold(0, |acc, &i| f.add(acc, f.sub(db[i], f.random(&mut shares))))
 }
 
 const PSM_INDICES: [[usize; 2]; NUM_VARIANTS] = [[2, 11], [5, 6], [0, 13]];
 
 /// psm_spfe variant `v`: PSM-based SPFE over the 2-input sum circuit.
-pub fn drv_psm_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA8);
-    let f = fx();
+fn psm_cores(v: usize) -> Cores {
+    let (g, pk, sk) = (&fx().group, &fx().pk, &fx().sk);
     let circuit = sum_circuit(2, 8);
-    psm_spfe::run_yao_psm(
-        t,
-        &f.group,
-        &f.pk,
-        &f.sk,
-        &db16_v(v),
-        &PSM_INDICES[v],
-        &circuit,
-        8,
-        &mut rng,
-    )
+    let rng = client_rng(0xA8);
+    let c = YaoPsmClient::new(g, pk, sk, 16, &PSM_INDICES[v], circuit.clone(), 8, rng);
+    let s = YaoPsmServer::new(g, pk, db16_v(v), circuit, 8, server_rng(0xA8, Stream::Pads));
+    Cores::new(c, [s])
 }
 
 fn expect_psm(v: usize) -> u64 {
@@ -358,38 +380,22 @@ fn expect_psm(v: usize) -> u64 {
     PSM_INDICES[v].iter().map(|&i| db[i]).sum()
 }
 
-/// The canonical psm_spfe run.
-pub fn drv_psm(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_psm_v(t, 0)
-}
-
 const TWO_PHASE_INDICES: [[usize; 3]; NUM_VARIANTS] = [[1, 6, 12], [0, 3, 5], [2, 9, 15]];
 
 /// two_phase variant `v`: select1 + Yao evaluation of the sum statistic.
-pub fn drv_two_phase_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xA9);
-    let f = fx();
-    let got = two_phase::run_select1_yao(
-        t,
-        &f.group,
-        &f.pk,
-        &f.sk,
-        &db16_v(v),
-        &TWO_PHASE_INDICES[v],
-        &Statistic::Sum,
-        field(),
-        &mut rng,
-    )?;
-    Ok(got[0])
+fn two_phase_cores(v: usize) -> Cores {
+    let p = field().modulus();
+    let circuit = Statistic::Sum.share_circuit(3, p);
+    let (yao_client, yao_server) = yao_parties("yao-phase", &fx().group, circuit, p);
+    let (c, s) = select1_halves(0xA9, v, &TWO_PHASE_INDICES[v]);
+    Cores::new(
+        Select1Then::new(c, yao_client),
+        [Select1Then::new(s, yao_server)],
+    )
 }
 
 fn expect_two_phase(v: usize) -> u64 {
     reference::sum(&db16_v(v), &TWO_PHASE_INDICES[v])
-}
-
-/// The canonical two_phase run.
-pub fn drv_two_phase(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_two_phase_v(t, 0)
 }
 
 const UNIVERSAL_INDICES: [[usize; 2]; NUM_VARIANTS] = [[0, 4], [3, 12], [5, 9]];
@@ -402,26 +408,13 @@ fn universal_menu() -> [Statistic; 2] {
 
 /// universal variant `v`: the function-hiding phase — indices *and* the
 /// selected menu entry are secrets.
-pub fn drv_universal_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xAA);
-    let f = fx();
-    let shares = select1(
-        t,
-        &f.group,
-        &f.pk,
-        &f.sk,
-        &db16_v(v),
-        &UNIVERSAL_INDICES[v],
-        field(),
-        &mut rng,
-    )?;
-    universal_yao_phase(
-        t,
-        &f.group,
-        &shares,
-        &universal_menu(),
-        UNIVERSAL_SELECTION[v],
-        &mut rng,
+fn universal_cores(v: usize) -> Cores {
+    let (p, choice) = (field().modulus(), UNIVERSAL_SELECTION[v]);
+    let (yao_client, yao_server) = universal_parties(&fx().group, &universal_menu(), choice, 2, p);
+    let (c, s) = select1_halves(0xAA, v, &UNIVERSAL_INDICES[v]);
+    Cores::new(
+        Select1Then::new(c, yao_client),
+        [Select1Then::new(s, yao_server)],
     )
 }
 
@@ -435,39 +428,22 @@ fn expect_universal(v: usize) -> u64 {
     }
 }
 
-/// The canonical universal run.
-pub fn drv_universal(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_universal_v(t, 0)
-}
-
 const WS_INDICES: [[usize; 3]; NUM_VARIANTS] = [[1, 4, 9], [0, 2, 3], [5, 10, 15]];
 const WS_WEIGHTS: [[u64; 3]; NUM_VARIANTS] = [[2, 3, 1], [1, 1, 4], [3, 2, 2]];
 
 /// weighted_sum variant `v`: §4 weighted sum — indices *and* the weight
 /// vector are secrets.
-pub fn drv_weighted_sum_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xAB);
-    let f = fx();
-    stats::weighted_sum(
-        t,
-        &f.group,
-        &f.pk,
-        &f.sk,
-        &db16_v(v),
-        &WS_INDICES[v],
-        &WS_WEIGHTS[v],
-        field(),
-        &mut rng,
-    )
+fn weighted_sum_cores(v: usize) -> Cores {
+    let (g, pk, sk) = (&fx().group, &fx().pk, &fx().sk);
+    let (indices, weights, rng) = (&WS_INDICES[v], &WS_WEIGHTS[v], client_rng(0xAB));
+    let c = WeightedSumClient::new(g.clone(), pk, sk, 16, indices, weights, field(), rng);
+    let pads = server_rng(0xAB, Stream::Pads);
+    let s = WeightedSumServer::new(g.clone(), pk, db16_v(v), field(), 3, pads);
+    Cores::new(c, [s])
 }
 
 fn expect_weighted_sum(v: usize) -> u64 {
     reference::weighted_sum(&db16_v(v), &WS_INDICES[v], &WS_WEIGHTS[v])
-}
-
-/// The canonical weighted_sum run.
-pub fn drv_weighted_sum(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_weighted_sum_v(t, 0)
 }
 
 const FREQ_INDICES: [[usize; 3]; NUM_VARIANTS] = [[0, 5, 10], [1, 2, 3], [4, 8, 12]];
@@ -476,22 +452,13 @@ const FREQ_KEYWORD_SLOT: [usize; NUM_VARIANTS] = [5, 2, 9];
 
 /// frequency variant `v`: §4 frequency counting — indices *and* the
 /// keyword are secrets.
-pub fn drv_frequency_v(t: &mut dyn Channel, v: usize) -> Result<u64, ProtocolError> {
-    let mut rng = ChaChaRng::from_u64_seed(0xAC);
-    let f = fx();
-    let db = db16_v(v);
-    let keyword = db[FREQ_KEYWORD_SLOT[v]];
-    let shares = select1(
-        t,
-        &f.group,
-        &f.pk,
-        &f.sk,
-        &db,
-        &FREQ_INDICES[v],
-        field(),
-        &mut rng,
-    )?;
-    stats::frequency(t, &f.pk, &f.sk, &shares, keyword, &mut rng)
+fn frequency_cores(v: usize) -> Cores {
+    let (pk, sk) = (&fx().pk, &fx().sk);
+    let keyword = db16_v(v)[FREQ_KEYWORD_SLOT[v]];
+    let counter = FrequencyClient::new(FREQUENCY, pk, sk, field(), vec![keyword; 3]);
+    let blinder = FrequencyServer::new(FREQUENCY, pk, field());
+    let (c, s) = select1_halves(0xAC, v, &FREQ_INDICES[v]);
+    Cores::new(Select1Then::new(c, counter), [Select1Then::new(s, blinder)])
 }
 
 fn expect_frequency(v: usize) -> u64 {
@@ -499,177 +466,46 @@ fn expect_frequency(v: usize) -> u64 {
     reference::frequency(&db, &FREQ_INDICES[v], db[FREQ_KEYWORD_SLOT[v]])
 }
 
-/// The canonical frequency run.
-pub fn drv_frequency(t: &mut dyn Channel) -> Result<u64, ProtocolError> {
-    drv_frequency_v(t, 0)
+/// Pumps the cores `cores(v)` over `t`.
+fn pump_cores(t: &mut dyn Channel, cores: CoresFn, v: usize) -> Result<u64, ProtocolError> {
+    let mut cores = cores(v);
+    pump(t, cores.client.as_mut(), &mut cores.servers)
+}
+
+fn row(name: &'static str, servers: usize, cores: CoresFn, expect_variant: ExpectFn) -> Driver {
+    Driver {
+        name,
+        servers,
+        expect: expect_variant(0),
+        run: Box::new(move |t| pump_cores(t, cores, 0)),
+        run_variant: Box::new(move |t, v| pump_cores(t, cores, v)),
+        expect_variant,
+        cores,
+    }
 }
 
 /// The full driver table, in stable order.
 pub fn drivers() -> Vec<Driver> {
-    fn row(
-        name: &'static str,
-        servers: usize,
-        run: DriverFn,
-        run_variant: VariantFn,
-        expect_variant: fn(usize) -> u64,
-    ) -> Driver {
-        Driver {
-            name,
-            servers,
-            expect: expect_variant(0),
-            run,
-            run_variant,
-            expect_variant,
-        }
-    }
     vec![
-        row("xor2", 2, drv_xor2, drv_xor2_v, expect_xor2),
-        row("hom_pir", 1, drv_hom_pir, drv_hom_pir_v, expect_hom_pir),
-        row(
-            "recursive",
-            1,
-            drv_recursive,
-            drv_recursive_v,
-            expect_recursive,
-        ),
-        row("spir", 1, drv_spir, drv_spir_v, expect_spir),
-        row("batched", 1, drv_batched, drv_batched_v, expect_batched),
-        row(
-            "poly_it",
-            poly_params().num_servers(),
-            drv_poly_it,
-            drv_poly_it_v,
-            expect_poly_it,
-        ),
-        row(
-            "multiserver",
-            ms_params().num_servers(),
-            drv_multiserver,
-            drv_multiserver_v,
-            expect_multiserver,
-        ),
-        row(
-            "input_select",
-            1,
-            drv_select1,
-            drv_select1_v,
-            expect_select1,
-        ),
-        row("psm_spfe", 1, drv_psm, drv_psm_v, expect_psm),
-        row(
-            "two_phase",
-            1,
-            drv_two_phase,
-            drv_two_phase_v,
-            expect_two_phase,
-        ),
-        row(
-            "universal",
-            1,
-            drv_universal,
-            drv_universal_v,
-            expect_universal,
-        ),
-        row(
-            "weighted_sum",
-            1,
-            drv_weighted_sum,
-            drv_weighted_sum_v,
-            expect_weighted_sum,
-        ),
-        row(
-            "frequency",
-            1,
-            drv_frequency,
-            drv_frequency_v,
-            expect_frequency,
-        ),
+        row("xor2", 2, xor2_cores, expect_xor2),
+        row("hom_pir", 1, hom_pir_cores, expect_hom_pir),
+        row("recursive", 1, recursive_cores, expect_recursive),
+        row("spir", 1, spir_cores, expect_spir),
+        row("batched", 1, batched_cores, expect_batched),
+        row("poly_it", 5, poly_it_cores, expect_poly_it),
+        row("multiserver", 5, multiserver_cores, expect_multiserver),
+        row("input_select", 1, select1_cores, expect_select1),
+        row("psm_spfe", 1, psm_cores, expect_psm),
+        row("two_phase", 1, two_phase_cores, expect_two_phase),
+        row("universal", 1, universal_cores, expect_universal),
+        row("weighted_sum", 1, weighted_sum_cores, expect_weighted_sum),
+        row("frequency", 1, frequency_cores, expect_frequency),
     ]
 }
 
-// ---------------------------------------------------------------------------
-// Networked-service wiring (DESIGN.md §15): the sans-io state machines of
-// the PIR/multiserver driver family, constructed with the *same* seeds,
-// databases, and indices as the canonical monolithic drivers above — so a
-// socket compute-mode run reproduces the canonical digest and transcript
-// byte-for-byte.
-// ---------------------------------------------------------------------------
-
-/// The drivers with genuine sans-io state machines ([`net_server_cores`] /
-/// [`net_client_core`]); every other driver runs over sockets through the
-/// relay-mode blanket adapter ([`spfe_transport::SocketChannel`]).
-pub const NET_CORE_DRIVERS: &[&str] = &["xor2", "hom_pir", "poly_it", "multiserver"];
-
-/// The server state machines hosting driver `name`'s canonical database,
-/// one per logical server; `None` for drivers without an extracted core.
-pub fn net_server_cores(name: &str) -> Option<Vec<Box<dyn SessionCore + Send>>> {
-    Some(match name {
-        "xor2" => (0..2)
-            .map(|i| {
-                Box::new(xor2::Xor2ServerCore::new(i, xor_db())) as Box<dyn SessionCore + Send>
-            })
-            .collect(),
-        "hom_pir" => vec![Box::new(hom_pir::HomPirServerCore::new(
-            fx().pk.clone(),
-            db16(),
-        ))],
-        "poly_it" => {
-            let params = poly_params();
-            (0..params.num_servers())
-                .map(|i| {
-                    Box::new(poly_it::PolyItServerCore::new(i, params, db16()))
-                        as Box<dyn SessionCore + Send>
-                })
-                .collect()
-        }
-        "multiserver" => {
-            let params = ms_params();
-            (0..params.num_servers())
-                .map(|i| {
-                    Box::new(multiserver::MsServerCore::new(i, params.clone(), db16()))
-                        as Box<dyn SessionCore + Send>
-                })
-                .collect()
-        }
-        _ => return None,
-    })
-}
-
-/// The client state machine for driver `name`'s canonical run (same rng
-/// seed, index, and database as the monolithic driver, so the digest —
-/// and the transcript — are identical); `None` for drivers without an
-/// extracted core.
-pub fn net_client_core(name: &str) -> Option<Box<dyn ClientCore>> {
-    Some(match name {
-        "xor2" => {
-            let mut rng = ChaChaRng::from_u64_seed(0xA0);
-            Box::new(xor2::Xor2ClientCore::new(16, 5, &mut rng)) as Box<dyn ClientCore>
-        }
-        "hom_pir" => {
-            let mut rng = ChaChaRng::from_u64_seed(0xA1);
-            let f = fx();
-            Box::new(hom_pir::HomPirClientCore::new(
-                f.pk.clone(),
-                f.sk.clone(),
-                16,
-                9,
-                &mut rng,
-            ))
-        }
-        "poly_it" => {
-            let mut rng = ChaChaRng::from_u64_seed(0xA5);
-            Box::new(poly_it::PolyItClientCore::new(poly_params(), 5, &mut rng))
-        }
-        "multiserver" => {
-            let mut rng = ChaChaRng::from_u64_seed(0xA6);
-            Box::new(multiserver::MsClientCore::new(
-                ms_params(),
-                &MS_INDICES[0],
-                &mut rng,
-            ))
-        }
-        _ => return None,
-    })
+/// The driver named `name`, if the table has one.
+pub fn driver(name: &str) -> Option<Driver> {
+    drivers().into_iter().find(|d| d.name == name)
 }
 
 /// Runs driver `d` (canonical variant) over a fresh [`FaultyChannel`]
@@ -690,4 +526,16 @@ pub fn honest_messages(d: &Driver) -> u64 {
     let got = (d.run)(&mut ch);
     assert_eq!(got, Ok(d.expect), "[{}] honest run", d.name);
     ch.messages_attempted()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table_server_counts_match_the_constructed_cores() {
+        for d in drivers() {
+            assert_eq!((d.cores)(0).servers.len(), d.servers, "[{}]", d.name);
+        }
+    }
 }

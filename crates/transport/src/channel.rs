@@ -148,8 +148,8 @@ impl<C: Channel + ?Sized> ChannelExt for C {}
 /// transient faults are retried up to [`MAX_ATTEMPTS`] times (healing a
 /// crashed server first), permanent faults surface immediately. This is
 /// the raw primitive under [`ChannelExt`]; the sans-io
-/// [`crate::session::pump`] uses it too, so state-machine executions mask
-/// faults exactly like the monolithic drivers.
+/// [`crate::session::pump`] uses it too, so pumped sessions mask faults
+/// exactly like protocols written against [`ChannelExt`].
 ///
 /// # Errors
 ///

@@ -41,7 +41,7 @@ pub const MAX_PAYLOAD_LEN: usize = 1 << 26;
 /// What a frame carries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
-    /// Session open: label = driver name, payload = `[mode]`.
+    /// Session open: label = driver name, empty payload.
     Hello = 0,
     /// A protocol message; payload is the `Wire` encoding.
     Msg = 1,
@@ -122,6 +122,21 @@ impl Frame {
             server: server as u32,
             label: label.to_owned(),
             payload,
+        }
+    }
+
+    /// Builds a session-control frame (`Hello`, `Bye`, `Error` or `Stats`)
+    /// at half-round 0, server 0.
+    pub fn control(
+        kind: FrameKind,
+        client_to_server: bool,
+        session: u64,
+        label: &str,
+        payload: Vec<u8>,
+    ) -> Frame {
+        Frame {
+            kind,
+            ..Frame::msg(client_to_server, session, 0, 0, label, payload)
         }
     }
 

@@ -20,9 +20,7 @@ pub mod fault;
 pub mod frame;
 pub mod lamport;
 pub mod meter;
-pub mod report_wire;
 pub mod session;
-pub mod socket;
 pub mod wire;
 
 pub use channel::{deliver_with_retry, Channel, ChannelExt, MAX_ATTEMPTS};
@@ -31,6 +29,8 @@ pub use fault::{FaultAction, FaultPlan, FaultyChannel, TamperHook, DEFAULT_TIMEO
 pub use frame::{Frame, FrameKind, HEADER_LEN, MAGIC, MAX_LABEL_LEN, MAX_PAYLOAD_LEN, VERSION};
 pub use lamport::Lamport;
 pub use meter::{CommReport, Direction, FlowMeter, MessageRecord, Transcript};
-pub use session::{pump, ClientCore, OutMsg, SessionCore, SessionState};
-pub use socket::{SessionMode, SocketChannel};
+pub use session::{
+    pump, ClientCore, ClientRounds, Exchange, OutMsg, Queries, RoundClient, RoundServer,
+    ServerRounds, SessionCore, SessionState,
+};
 pub use wire::{Reader, Wire, WireError};

@@ -349,16 +349,12 @@ impl Transcript {
 /// and message counts per direction plus the half-round structure.
 /// `FlowMeter` recovers those from the frames themselves.
 ///
-/// Bytes and message counts are metered by each `Msg` frame's *logical*
-/// direction flag: in relay mode the client physically sends both
-/// directions and the echo must not be double-counted, so the serving
-/// side observes each received frame once and never its own echo; in
-/// compute mode it observes received frames (all client → server) and
-/// the replies it originates. Half-rounds come from the sender's stamps:
-/// the client stamps every frame with its own metered transcript counter
-/// and the Bye frame with the final value, so for a cleanly closed
-/// session the maximum stamp observed equals the client-side half-round
-/// total.
+/// The serving side observes the frames it receives (all client →
+/// server) and the replies it originates, each once by its direction
+/// flag. Half-rounds come from the sender's stamps: the client stamps
+/// every frame with its own metered transcript counter and the Bye frame
+/// with the final value, so for a cleanly closed session the maximum
+/// stamp observed equals the client-side half-round total.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowMeter {
     /// Payload bytes of client → server messages.
@@ -378,7 +374,7 @@ impl FlowMeter {
         FlowMeter::default()
     }
 
-    /// Meters one `Msg` frame by its logical direction flag.
+    /// Meters one `Msg` frame by its direction flag.
     pub fn observe_msg(&mut self, frame: &crate::Frame) {
         if frame.client_to_server {
             self.bytes_in += frame.payload.len() as u64;

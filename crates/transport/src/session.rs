@@ -3,19 +3,26 @@
 //!
 //! A [`SessionCore`] is one party's half of a protocol as a pure message
 //! processor — *message in → new state + messages out* — with no channel,
-//! socket, rng, or clock inside. The driver that owns the transport feeds
-//! it delivered bytes and carries its emissions; the same core therefore
+//! socket, or clock inside. The driver that owns the transport feeds it
+//! delivered bytes and carries its emissions; the same core therefore
 //! runs unchanged over the in-memory [`Transcript`](crate::Transcript),
 //! the fault-injecting [`crate::FaultyChannel`], or a TCP stream, and the
 //! conformance matrix (`tests/net_conformance.rs`) proves all three
 //! produce byte-identical transcripts.
 //!
+//! Every protocol in the workspace is a sequence of [`Exchange`]s: the
+//! client sends one query to each server it addresses and each of them
+//! answers with exactly one reply. [`RoundClient`] and [`RoundServer`]
+//! do that state tracking once — which exchange is in flight, which
+//! replies are still missing, which labels are legal — so a protocol only
+//! supplies its per-exchange logic ([`ClientRounds`], [`ServerRounds`])
+//! and its phase spans come for free.
+//!
 //! [`pump`] is the in-memory driver: it runs a client core against a set
-//! of server cores over any [`Channel`], delivering messages in the same
-//! phase order as the monolithic `run()` functions (all client → server
-//! messages of a burst, then all server replies in server order), so the
-//! metered half-round structure — and hence every audit fingerprint —
-//! matches the monolithic execution exactly.
+//! of server cores over any [`Channel`], delivering all client → server
+//! messages of a burst, then all server replies in server order, so the
+//! metered half-round structure — and hence every audit fingerprint — is
+//! the same as over TCP.
 
 use crate::channel::{deliver_with_retry, Channel};
 use crate::error::ProtocolError;
@@ -38,7 +45,7 @@ pub struct OutMsg {
     pub server: usize,
     /// Direction (`true` = client → server).
     pub client_to_server: bool,
-    /// Protocol label (the same label the monolithic driver meters).
+    /// Protocol label (the label the transcript meters).
     pub label: &'static str,
     /// The `Wire` encoding of the protocol message.
     pub payload: Vec<u8>,
@@ -68,13 +75,11 @@ impl OutMsg {
 
 /// One party's half of a protocol as an explicit state machine.
 ///
-/// Object-safe; implementations live next to the protocol code they
-/// extract (e.g. `spfe_pir::xor2::Xor2ServerCore`). Any randomness is
-/// consumed at construction time, so a core's behaviour is a pure
-/// function of the messages fed to it.
+/// Object-safe. A core owns its randomness source, so its behaviour is a
+/// pure function of its construction and the messages fed to it.
 pub trait SessionCore {
     /// Messages to send before anything is received (client cores emit
-    /// their opening queries here; server cores usually emit nothing).
+    /// their opening queries here; server cores emit nothing).
     ///
     /// # Errors
     ///
@@ -100,6 +105,22 @@ pub trait SessionCore {
     ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError>;
 }
 
+impl<T: SessionCore + ?Sized> SessionCore for Box<T> {
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        (**self).start()
+    }
+
+    fn on_message(
+        &mut self,
+        half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        (**self).on_message(half_round, server, label, payload)
+    }
+}
+
 /// A client-side [`SessionCore`] that reduces the protocol result to the
 /// `u64` digest convention the conformance harness uses.
 pub trait ClientCore: SessionCore {
@@ -111,14 +132,300 @@ pub trait ClientCore: SessionCore {
     /// `&'static str` labels the in-memory transcript uses. `None` marks
     /// the label as foreign to this protocol.
     fn static_label(&self, label: &str) -> Option<&'static str>;
+
+    /// The protocol span of the exchange in flight: drivers time the
+    /// message deliveries of a burst under it.
+    fn span(&self) -> &'static str;
+}
+
+/// One query → reply exchange of a protocol: the client sends one
+/// `query`-labelled message to each server it addresses, and each of
+/// them answers with exactly one `reply`-labelled message.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Exchange {
+    /// The protocol span both parties time the exchange under.
+    pub span: &'static str,
+    /// Label of the client's queries.
+    pub query: &'static str,
+    /// Label of the servers' replies.
+    pub reply: &'static str,
+    /// The server's phase span (`"server-scan"` or `"server-eval"`).
+    pub eval: &'static str,
+}
+
+impl Exchange {
+    /// The exchange timed under `span`, carrying `query`-labelled queries
+    /// and `reply`-labelled replies, with the server phase span `eval`.
+    pub const fn new(
+        span: &'static str,
+        query: &'static str,
+        reply: &'static str,
+        eval: &'static str,
+    ) -> Exchange {
+        Exchange {
+            span,
+            query,
+            reply,
+            eval,
+        }
+    }
+}
+
+/// One exchange's queries: `(server, payload)` pairs.
+pub type Queries = Vec<(usize, Vec<u8>)>;
+
+/// A protocol's client logic, one [`Exchange`] at a time; wrap it in a
+/// [`RoundClient`] to get a [`ClientCore`].
+pub trait ClientRounds {
+    /// The protocol's exchanges, in order. Only trailing exchanges may be
+    /// skipped (see [`ClientRounds::queries`]).
+    fn exchanges(&self) -> &[Exchange];
+
+    /// The queries of exchange `step` as `(server, payload)` pairs, or
+    /// `None` when the protocol does not need this exchange (e.g. no
+    /// fallback retrievals are left). Timed as `<span>/query-gen`.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError`] if the queries cannot be built.
+    fn queries(&mut self, step: usize) -> Result<Option<Queries>, ProtocolError>;
+
+    /// Takes the replies of exchange `step`, one per query, in query
+    /// order. Timed as `<span>/reconstruct`.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError`] on malformed or inconsistent replies.
+    fn absorb(&mut self, step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError>;
+
+    /// The harness digest of the protocol result, once every exchange
+    /// ran or was skipped.
+    fn digest(&self) -> Option<u64>;
+}
+
+/// A protocol's server logic, one [`Exchange`] at a time; wrap it in a
+/// [`RoundServer`] to get a [`SessionCore`].
+pub trait ServerRounds {
+    /// The protocol's exchanges, in order (the same table the client
+    /// uses).
+    fn exchanges(&self) -> &[Exchange];
+
+    /// Answers the query of exchange `step`. Timed as `<span>/<eval>`.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError`] on a malformed (client-controlled) query.
+    fn answer(&mut self, step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError>;
+}
+
+/// Runs `f` under the `span/phase` span pair.
+fn timed<T>(span: &'static str, phase: &'static str, f: impl FnOnce() -> T) -> T {
+    let _span = spfe_obs::span(span);
+    let _phase = spfe_obs::span(phase);
+    f()
+}
+
+fn unexpected(label: &'static str) -> ProtocolError {
+    ProtocolError::InvalidMessage {
+        label,
+        reason: "message is out of sequence for this protocol",
+    }
+}
+
+/// The client half of any [`ClientRounds`] protocol: emits each
+/// exchange's queries, collects exactly one reply per query, and moves to
+/// the next exchange once all of them are in.
+#[derive(Debug)]
+pub struct RoundClient<C> {
+    inner: C,
+    /// The exchange in flight (`None` before [`SessionCore::start`]).
+    step: Option<usize>,
+    /// The server of each query in flight, with its reply once received.
+    pending: Vec<(usize, Option<Vec<u8>>)>,
+    done: bool,
+}
+
+impl<C: ClientRounds> RoundClient<C> {
+    /// Wraps the protocol logic `inner`.
+    pub fn new(inner: C) -> Self {
+        RoundClient {
+            inner,
+            step: None,
+            pending: Vec::new(),
+            done: false,
+        }
+    }
+
+    /// The protocol logic (read its result once the session is done).
+    pub fn inner(&self) -> &C {
+        &self.inner
+    }
+
+    /// Unwraps the protocol logic.
+    pub fn into_inner(self) -> C {
+        self.inner
+    }
+
+    /// Emits the queries of the first exchange at or after `from` that
+    /// the protocol needs, or finishes.
+    fn advance(&mut self, from: usize) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        for step in from..self.inner.exchanges().len() {
+            let ex = self.inner.exchanges()[step];
+            self.step = Some(step);
+            let Some(queries) = timed(ex.span, "query-gen", || self.inner.queries(step))? else {
+                continue;
+            };
+            self.pending = queries.iter().map(|&(server, _)| (server, None)).collect();
+            let out = queries
+                .into_iter()
+                .map(|(server, payload)| OutMsg::to_server(server, ex.query, payload))
+                .collect();
+            return Ok((SessionState::Running, out));
+        }
+        self.done = true;
+        Ok((SessionState::Done, Vec::new()))
+    }
+}
+
+impl<C: ClientRounds> SessionCore for RoundClient<C> {
+    fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        if self.step.is_some() {
+            return Err(ProtocolError::InvalidMessage {
+                label: "session",
+                reason: "client core started twice",
+            });
+        }
+        self.advance(0)
+    }
+
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        let step = match self.step {
+            Some(step) if !self.done => step,
+            _ => return Err(unexpected("session")),
+        };
+        let ex = self.inner.exchanges()[step];
+        let slot = self
+            .pending
+            .iter_mut()
+            .find(|(s, reply)| *s == server && reply.is_none())
+            .filter(|_| label == ex.reply)
+            .ok_or(unexpected(ex.reply))?;
+        slot.1 = Some(payload.to_vec());
+        if self.pending.iter().any(|(_, reply)| reply.is_none()) {
+            return Ok((SessionState::Running, Vec::new()));
+        }
+        let replies = self.pending.drain(..).filter_map(|(_, r)| r).collect();
+        timed(ex.span, "reconstruct", || self.inner.absorb(step, replies))?;
+        self.advance(step + 1)
+    }
+}
+
+impl<C: ClientRounds> ClientCore for RoundClient<C> {
+    fn digest(&self) -> Option<u64> {
+        self.done.then(|| self.inner.digest()).flatten()
+    }
+
+    fn static_label(&self, label: &str) -> Option<&'static str> {
+        self.inner
+            .exchanges()
+            .iter()
+            .find(|ex| ex.reply == label)
+            .map(|ex| ex.reply)
+    }
+
+    fn span(&self) -> &'static str {
+        self.inner.exchanges()[self.step.unwrap_or(0)].span
+    }
+}
+
+/// The server half of any [`ServerRounds`] protocol: accepts the
+/// exchanges strictly in order and answers each query with exactly one
+/// reply.
+#[derive(Debug)]
+pub struct RoundServer<S> {
+    index: usize,
+    inner: S,
+    next: usize,
+}
+
+impl<S: ServerRounds> RoundServer<S> {
+    /// Server `index` running the protocol logic `inner`.
+    pub fn new(index: usize, inner: S) -> Self {
+        RoundServer {
+            index,
+            inner,
+            next: 0,
+        }
+    }
+
+    /// The protocol logic (e.g. to read a server's output shares).
+    pub fn inner(&self) -> &S {
+        &self.inner
+    }
+}
+
+impl<S: ServerRounds> SessionCore for RoundServer<S> {
+    fn on_message(
+        &mut self,
+        _half_round: u32,
+        _server: usize,
+        label: &str,
+        payload: &[u8],
+    ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
+        let step = self.next;
+        let ex = *self
+            .inner
+            .exchanges()
+            .get(step)
+            .filter(|ex| ex.query == label)
+            .ok_or(unexpected("session"))?;
+        let reply = timed(ex.span, ex.eval, || self.inner.answer(step, payload))?;
+        self.next += 1;
+        let state = if self.next == self.inner.exchanges().len() {
+            SessionState::Done
+        } else {
+            SessionState::Running
+        };
+        Ok((state, vec![OutMsg::to_client(self.index, ex.reply, reply)]))
+    }
+}
+
+/// Delivers one message over `ch` under the protocol span, stamping the
+/// send on the sender's causal clock and the receipt on the receiver's.
+/// A retried delivery reuses its stamp, so stamps stay strictly monotone
+/// per party under masked faults.
+fn carry(
+    ch: &mut dyn Channel,
+    span: &'static str,
+    m: &OutMsg,
+    half_round: u32,
+    from: &mut Lamport,
+    to: &mut Lamport,
+) -> Result<Vec<u8>, ProtocolError> {
+    let _span = spfe_obs::span(span);
+    let stamp = from.tick();
+    spfe_obs::net_frame_event(true, m.label, m.payload.len() as u64, half_round, stamp);
+    let dir = if m.client_to_server {
+        Direction::ClientToServer(m.server)
+    } else {
+        Direction::ServerToClient(m.server)
+    };
+    let delivered = deliver_with_retry(ch, dir, m.label, &m.payload)?;
+    let recv = to.observe(stamp);
+    spfe_obs::net_frame_event(false, m.label, delivered.len() as u64, half_round, recv);
+    Ok(delivered)
 }
 
 /// Runs a client core against its server cores over any [`Channel`],
 /// phase-synchronized: each burst delivers every client → server message
-/// (feeding the server cores), then every server reply in server order —
-/// the exact delivery order of the monolithic `run()` functions, so the
-/// metered transcript is byte-identical to theirs. Transient transport
-/// faults are retried with the same bounded policy as
+/// (feeding the server cores), then every server reply in server order.
+/// Transient transport faults are retried with the same bounded policy as
 /// [`crate::ChannelExt`].
 ///
 /// # Errors
@@ -126,10 +433,10 @@ pub trait ClientCore: SessionCore {
 /// Any [`ProtocolError`] surfaced by the transport or either side's core,
 /// or [`ProtocolError::InvalidMessage`] if the client core stops without
 /// a digest.
-pub fn pump(
+pub fn pump<S: SessionCore>(
     ch: &mut dyn Channel,
     client: &mut dyn ClientCore,
-    servers: &mut [Box<dyn SessionCore + Send>],
+    servers: &mut [S],
 ) -> Result<u64, ProtocolError> {
     for s in servers.iter_mut() {
         // Server cores may not speak first in this driver family.
@@ -143,12 +450,11 @@ pub fn pump(
     }
     let (mut state, mut outbox) = client.start()?;
     let mut half_round = 0u32;
-    // Causal clocks for the trace journal: one per party, stamped once
-    // per *logical* delivery (a retried delivery reuses its stamp), so
-    // stamps stay strictly monotone per party under masked faults.
+    // Causal clocks for the trace journal, one per party.
     let mut client_clock = Lamport::new();
     let mut server_clocks = vec![Lamport::new(); servers.len()];
     while !outbox.is_empty() {
+        let span = client.span();
         let mut replies: Vec<OutMsg> = Vec::new();
         half_round += 1;
         for m in outbox.drain(..) {
@@ -158,18 +464,13 @@ pub fn pump(
                     reason: "client core emitted a misdirected message",
                 });
             }
-            let stamp = client_clock.tick();
-            spfe_obs::net_frame_event(true, m.label, m.payload.len() as u64, half_round, stamp);
-            let delivered =
-                deliver_with_retry(ch, Direction::ClientToServer(m.server), m.label, &m.payload)?;
-            let recv = server_clocks[m.server].observe(stamp);
-            spfe_obs::net_frame_event(false, m.label, delivered.len() as u64, half_round, recv);
+            let clock = &mut server_clocks[m.server];
+            let delivered = carry(ch, span, &m, half_round, &mut client_clock, clock)?;
             let (_, outs) =
                 servers[m.server].on_message(half_round, m.server, m.label, &delivered)?;
             replies.extend(outs);
         }
         half_round += 1;
-        let mut next: Vec<OutMsg> = Vec::new();
         for m in replies {
             if m.client_to_server || m.server >= servers.len() {
                 return Err(ProtocolError::InvalidMessage {
@@ -177,19 +478,11 @@ pub fn pump(
                     reason: "server core emitted a misdirected message",
                 });
             }
-            let stamp = server_clocks[m.server].tick();
-            spfe_obs::net_frame_event(true, m.label, m.payload.len() as u64, half_round, stamp);
-            let delivered =
-                deliver_with_retry(ch, Direction::ServerToClient(m.server), m.label, &m.payload)?;
-            let recv = client_clock.observe(stamp);
-            spfe_obs::net_frame_event(false, m.label, delivered.len() as u64, half_round, recv);
+            let clock = &mut server_clocks[m.server];
+            let delivered = carry(ch, span, &m, half_round, clock, &mut client_clock)?;
             let (s, outs) = client.on_message(half_round, m.server, m.label, &delivered)?;
             state = s;
-            next.extend(outs);
-        }
-        outbox = next;
-        if state == SessionState::Done && outbox.is_empty() {
-            break;
+            outbox.extend(outs);
         }
         if outbox.is_empty() && state == SessionState::Running {
             return Err(ProtocolError::InvalidMessage {
@@ -210,47 +503,37 @@ mod tests {
     use crate::meter::Transcript;
     use crate::wire::Wire;
 
+    const TOY: &[Exchange] = &[
+        Exchange::new("toy", "toy-q", "toy-a", "server-eval"),
+        Exchange::new("toy", "toy-extra-q", "toy-extra-a", "server-eval"),
+    ];
+
     /// Toy protocol: client sends `x` to each server, server replies
-    /// `x + server`, client sums the replies.
+    /// `x + server`, client sums the replies; the second exchange runs
+    /// only when `extra` is set.
     struct ToyClient {
         x: u64,
         k: usize,
-        got: Vec<Option<u64>>,
-        sum: Option<u64>,
+        extra: bool,
+        sum: u64,
     }
 
-    impl SessionCore for ToyClient {
-        fn start(&mut self) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-            let outs = (0..self.k)
-                .map(|s| OutMsg::to_server(s, "toy-q", self.x.to_bytes()))
-                .collect();
-            Ok((SessionState::Running, outs))
+    impl ClientRounds for ToyClient {
+        fn exchanges(&self) -> &[Exchange] {
+            TOY
         }
-
-        fn on_message(
-            &mut self,
-            _half_round: u32,
-            server: usize,
-            label: &str,
-            payload: &[u8],
-        ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-            assert_eq!(label, "toy-a");
-            let v = u64::from_bytes(payload)?;
-            self.got[server] = Some(v);
-            if self.got.iter().all(Option::is_some) {
-                self.sum = Some(self.got.iter().map(|v| v.unwrap()).sum());
-                return Ok((SessionState::Done, Vec::new()));
+        fn queries(&mut self, step: usize) -> Result<Option<Queries>, ProtocolError> {
+            Ok((step == 0 || self.extra)
+                .then(|| (0..self.k).map(|s| (s, self.x.to_bytes())).collect()))
+        }
+        fn absorb(&mut self, _step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+            for r in replies {
+                self.sum += u64::from_bytes(&r)?;
             }
-            Ok((SessionState::Running, Vec::new()))
+            Ok(())
         }
-    }
-
-    impl ClientCore for ToyClient {
         fn digest(&self) -> Option<u64> {
-            self.sum
-        }
-        fn static_label(&self, label: &str) -> Option<&'static str> {
-            (label == "toy-a").then_some("toy-a")
+            Some(self.sum)
         }
     }
 
@@ -258,43 +541,46 @@ mod tests {
         index: usize,
     }
 
-    impl SessionCore for ToyServer {
-        fn on_message(
-            &mut self,
-            _half_round: u32,
-            server: usize,
-            label: &str,
-            payload: &[u8],
-        ) -> Result<(SessionState, Vec<OutMsg>), ProtocolError> {
-            assert_eq!(server, self.index);
-            assert_eq!(label, "toy-q");
-            let x = u64::from_bytes(payload)?;
-            let reply = (x + self.index as u64).to_bytes();
-            Ok((
-                SessionState::Done,
-                vec![OutMsg::to_client(self.index, "toy-a", reply)],
-            ))
+    impl ServerRounds for ToyServer {
+        fn exchanges(&self) -> &[Exchange] {
+            TOY
         }
+        fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
+            Ok((u64::from_bytes(query)? + self.index as u64).to_bytes())
+        }
+    }
+
+    fn toy(k: usize, extra: bool) -> (RoundClient<ToyClient>, Vec<RoundServer<ToyServer>>) {
+        let client = RoundClient::new(ToyClient {
+            x: 10,
+            k,
+            extra,
+            sum: 0,
+        });
+        let servers = (0..k)
+            .map(|index| RoundServer::new(index, ToyServer { index }))
+            .collect();
+        (client, servers)
     }
 
     #[test]
     fn pump_runs_the_toy_protocol() {
         let k = 3;
-        let mut client = ToyClient {
-            x: 10,
-            k,
-            got: vec![None; k],
-            sum: None,
-        };
-        let mut servers: Vec<Box<dyn SessionCore + Send>> = (0..k)
-            .map(|index| Box::new(ToyServer { index }) as Box<dyn SessionCore + Send>)
-            .collect();
+        let (mut client, mut servers) = toy(k, false);
         let mut t = Transcript::new(k);
         let got = pump(&mut t, &mut client, &mut servers).unwrap();
         assert_eq!(got, 33);
         let rep = t.report();
         assert_eq!(rep.half_rounds, 2, "one full round");
         assert_eq!(rep.messages, 2 * k as u64);
+    }
+
+    #[test]
+    fn optional_exchanges_run_only_when_asked() {
+        let (mut client, mut servers) = toy(2, true);
+        let mut t = Transcript::new(2);
+        assert_eq!(pump(&mut t, &mut client, &mut servers).unwrap(), 42);
+        assert_eq!(t.report().half_rounds, 4, "two full rounds");
     }
 
     #[test]
@@ -324,9 +610,13 @@ mod tests {
             fn static_label(&self, _: &str) -> Option<&'static str> {
                 None
             }
+            fn span(&self) -> &'static str {
+                "bad"
+            }
         }
         let mut t = Transcript::new(1);
-        let err = pump(&mut t, &mut Bad, &mut []).unwrap_err();
+        let none: &mut [RoundServer<ToyServer>] = &mut [];
+        let err = pump(&mut t, &mut Bad, none).unwrap_err();
         assert!(matches!(err, ProtocolError::InvalidMessage { .. }));
     }
 }

@@ -22,7 +22,10 @@ mod common;
 use common::*;
 use spfe::core::multiserver;
 use spfe::crypto::ChaChaRng;
-use spfe::transport::{FaultAction, FaultPlan, FaultyChannel, ProtocolError, Wire, MAX_ATTEMPTS};
+use spfe::transport::{
+    pump, FaultAction, FaultPlan, FaultyChannel, ProtocolError, SessionCore, Transcript, Wire,
+    MAX_ATTEMPTS,
+};
 
 // ---------------------------------------------------------------------------
 // The conformance matrix.
@@ -205,7 +208,7 @@ fn xor2_answer_length_mismatch_is_detected() {
         assert_eq!(label, "pir2-answer");
         *bytes = vec![0u8; 3].to_bytes();
     }));
-    let got = drv_xor2(&mut ch);
+    let got = (driver("xor2").unwrap().run)(&mut ch);
     assert_eq!(
         got,
         Err(ProtocolError::InvalidMessage {
@@ -226,7 +229,7 @@ fn weighted_sum_functional_reply_tamper_is_detected_or_wrong_never_panic() {
             bytes.clear();
         }
     }));
-    let got = drv_weighted_sum(&mut ch);
+    let got = (driver("weighted_sum").unwrap().run)(&mut ch);
     assert!(
         matches!(
             got,
@@ -306,4 +309,51 @@ fn dropped_messages_cost_no_bytes_and_duplicates_cost_double() {
     let rep = duped.inner().report();
     assert_eq!(rep.messages, base.messages + 1, "duplicate metered twice");
     assert!(rep.total_bytes() > base.total_bytes());
+}
+
+// ---------------------------------------------------------------------------
+// Server cores on hostile input: every driver's server state machines,
+// built by the harness constructor, reject a foreign label, a replay
+// after the session, and a truncated payload with a typed error.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn every_server_core_rejects_bad_input_with_a_typed_error() {
+    for d in drivers() {
+        // The client's opening queries (the client rng is seeded, so an
+        // identical client core emits the same bytes in the session).
+        let (_, opening) = (d.cores)(0).client.start().expect("client opens");
+        let mut cores = (d.cores)(0);
+        let got = pump(
+            &mut Transcript::new(d.servers),
+            cores.client.as_mut(),
+            &mut cores.servers,
+        );
+        assert_eq!(got, Ok(d.expect), "[{}] honest run", d.name);
+
+        for q in &opening {
+            let (i, label, query) = (q.server, q.label, q.payload.as_slice());
+            // The session is over: replaying its opening query is refused.
+            let replay = cores.servers[i].on_message(9, i, label, query);
+            assert!(
+                matches!(replay, Err(ProtocolError::InvalidMessage { .. })),
+                "[{} s{i}] replay after the session: {replay:?}",
+                d.name
+            );
+
+            let mut fresh = (d.cores)(0).servers;
+            let foreign = fresh[i].on_message(1, i, "no-such-label", query);
+            assert!(
+                matches!(foreign, Err(ProtocolError::InvalidMessage { .. })),
+                "[{} s{i}] foreign label: {foreign:?}",
+                d.name
+            );
+            let truncated = fresh[i].on_message(1, i, label, &query[..query.len() / 2]);
+            assert!(
+                matches!(truncated, Err(ProtocolError::Codec(_))),
+                "[{} s{i}] truncated payload: {truncated:?}",
+                d.name
+            );
+        }
+    }
 }

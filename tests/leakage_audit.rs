@@ -142,11 +142,11 @@ fn committed_fingerprints(baseline: &str, driver: &str) -> Vec<String> {
     fps
 }
 
-/// The networked gate: a loopback-TCP relay session of every driver must
-/// reproduce the *committed* `BENCH_audit.json` per-party `spfe-view/v1`
-/// fingerprints bit-for-bit — the wire carrier (in-memory vs. real
-/// sockets) is outside the view definition. Compute-mode sessions against
-/// hosted server cores must reproduce the client fingerprint too.
+/// The networked gate: a loopback-TCP session of every driver — its
+/// client core against the server's cores — must reproduce the
+/// *committed* `BENCH_audit.json` per-party `spfe-view/v1` fingerprints
+/// bit-for-bit: the wire carrier (in-memory vs. real sockets) is outside
+/// the view definition.
 #[test]
 fn socket_sessions_reproduce_committed_fingerprints() {
     let _g = LOCK.lock().unwrap();
@@ -165,8 +165,8 @@ fn socket_sessions_reproduce_committed_fingerprints() {
         let committed = committed_fingerprints(&baseline, d.name);
         let _ = fx();
         spfe::obs::reset();
-        let run = spfe_net::run_driver_relay(&addr, &d, deadline).expect("relay session");
-        assert_eq!(run.digest, d.expect, "[{}] relay digest", d.name);
+        let run = spfe_net::run_driver(&addr, d.name, deadline).expect("tcp session");
+        assert_eq!(run.digest, d.expect, "[{}] tcp digest", d.name);
         let mut views = run.transcript.party_views();
         views[0].ops = deterministic_ops(&spfe::obs::ops_snapshot());
         let fps: Vec<String> = views.iter().map(|v| v.fingerprint_hex()).collect();
@@ -174,19 +174,6 @@ fn socket_sessions_reproduce_committed_fingerprints() {
             fps, committed,
             "[{}] loopback-TCP fingerprints diverge from the committed audit baseline",
             d.name
-        );
-    }
-    for name in NET_CORE_DRIVERS {
-        let committed = committed_fingerprints(&baseline, name);
-        let _ = fx();
-        spfe::obs::reset();
-        let run = spfe_net::run_driver(&addr, name, deadline).expect("compute session");
-        let mut views = run.transcript.party_views();
-        views[0].ops = deterministic_ops(&spfe::obs::ops_snapshot());
-        let fps: Vec<String> = views.iter().map(|v| v.fingerprint_hex()).collect();
-        assert_eq!(
-            fps, committed,
-            "[{name}] compute-mode fingerprints diverge from the committed audit baseline"
         );
     }
     spfe::math::par::set_threads(None);

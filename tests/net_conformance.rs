@@ -1,16 +1,13 @@
 //! The cross-transport conformance matrix (DESIGN.md §15).
 //!
-//! Every harness driver runs over three transports — the in-memory
-//! metered channel, the fault-injecting channel under the two audit mask
-//! seeds, and a real loopback-TCP relay session — and must produce the
-//! identical answer, the identical per-label communication bytes, the
-//! identical half-round structure, the identical per-party view
-//! fingerprints, and the identical deterministic op counters. For the
-//! drivers with extracted sans-io cores (`spfe::harness::NET_CORE_DRIVERS`)
-//! the matrix additionally covers the core itself: [`spfe::transport::pump`]
-//! over the in-memory and faulty channels, and a genuine compute-mode TCP
-//! session against hosted server state machines, all byte-identical to
-//! the monolithic run.
+//! Every harness driver runs its client core against its server cores
+//! over three transports — [`spfe::transport::pump`] over the in-memory
+//! metered channel, the same pump over the fault-injecting channel under
+//! the two audit mask seeds, and a genuine client-vs-server session over
+//! loopback TCP — and must produce the identical answer, the identical
+//! per-label communication bytes, the identical half-round structure,
+//! the identical per-party view fingerprints, and the identical
+//! deterministic op counters.
 //!
 //! The matrix re-runs at `SPFE_THREADS` 1 and 4: thread count is outside
 //! the protocol, so nothing observable may move.
@@ -19,8 +16,8 @@ mod common;
 use common::*;
 
 use spfe::obs::audit::deterministic_ops;
-use spfe::transport::{pump, FaultAction, FaultPlan, FaultyChannel, Transcript};
-use spfe_net::{run_driver, run_driver_relay, Server, ServerConfig};
+use spfe::transport::{FaultAction, FaultPlan, FaultyChannel, Transcript};
+use spfe_net::{run_driver, Server, ServerConfig};
 use std::sync::Mutex;
 
 /// Op counters are process-global; every test that reads them serializes
@@ -77,10 +74,9 @@ fn faulty(d: &Driver, seed: u64, threads: usize) -> Obs {
     observe(digest, ch.inner())
 }
 
-fn relay_tcp(d: &Driver, addr: &str, threads: usize) -> Obs {
+fn tcp(d: &Driver, addr: &str, threads: usize) -> Obs {
     arm(threads);
-    let run =
-        run_driver_relay(addr, d, Some(std::time::Duration::from_secs(30))).expect("relay tcp run");
+    let run = run_driver(addr, d.name, Some(std::time::Duration::from_secs(30))).expect("tcp run");
     observe(run.digest, &run.transcript)
 }
 
@@ -88,8 +84,8 @@ fn local_server() -> Server {
     Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind loopback")
 }
 
-/// The blanket-adapter half of the matrix: every driver, three
-/// transports, two thread counts, one set of observables.
+/// The matrix: every driver, three transports, two thread counts, one
+/// set of observables.
 #[test]
 fn every_driver_is_transport_invariant() {
     let _g = LOCK.lock().unwrap();
@@ -111,10 +107,10 @@ fn every_driver_is_transport_invariant() {
                     d.name
                 );
             }
-            let r = relay_tcp(&d, &addr, threads);
+            let r = tcp(&d, &addr, threads);
             assert_eq!(
                 r, base,
-                "[{} t{threads}] loopback relay TCP changed an observable",
+                "[{} t{threads}] loopback TCP changed an observable",
                 d.name
             );
         }
@@ -139,72 +135,6 @@ fn op_counters_are_thread_invariant() {
     spfe::math::par::set_threads(None);
 }
 
-/// The sans-io half of the matrix: for every extracted core, pump over
-/// in-memory and masked-faulty channels, plus a genuine compute-mode TCP
-/// session, all byte-identical to the monolithic driver run.
-#[test]
-fn extracted_cores_match_their_monolithic_drivers() {
-    let _g = LOCK.lock().unwrap();
-    let server = local_server();
-    let addr = server.local_addr().to_string();
-    let table = drivers();
-    for threads in [1usize, 4] {
-        for name in NET_CORE_DRIVERS {
-            let d = table
-                .iter()
-                .find(|d| d.name == *name)
-                .expect("core driver in table");
-            let base = in_memory(d, threads);
-
-            // pump over the plain in-memory transcript.
-            arm(threads);
-            let mut t = Transcript::new(d.servers);
-            let mut client = net_client_core(name).expect("client core");
-            let mut cores = net_server_cores(name).expect("server cores");
-            let digest = pump(&mut t, client.as_mut(), &mut cores).expect("pump in-memory");
-            assert_eq!(
-                observe(digest, &t),
-                base,
-                "[{name} t{threads}] pump over in-memory diverged from the monolithic run"
-            );
-
-            // pump over the fault-injecting channel at both audit seeds.
-            for seed in [11u64, 77] {
-                arm(threads);
-                let mut ch = FaultyChannel::new(
-                    d.servers,
-                    FaultPlan::with_rate(seed, FaultAction::Drop, 300),
-                    0,
-                );
-                let mut client = net_client_core(name).expect("client core");
-                let mut cores = net_server_cores(name).expect("server cores");
-                let digest = pump(&mut ch, client.as_mut(), &mut cores).expect("pump faulty");
-                assert_eq!(
-                    observe(digest, ch.inner()),
-                    base,
-                    "[{name} t{threads} seed {seed}] pump under masked faults diverged"
-                );
-            }
-
-            // Genuine compute-mode session against hosted server cores.
-            arm(threads);
-            let run = run_driver(&addr, name, Some(std::time::Duration::from_secs(30)))
-                .expect("compute tcp run");
-            assert_eq!(
-                run.mode,
-                spfe::transport::SessionMode::Compute,
-                "[{name}] core driver must run in compute mode"
-            );
-            assert_eq!(
-                observe(run.digest, &run.transcript),
-                base,
-                "[{name} t{threads}] compute-mode TCP diverged from the monolithic run"
-            );
-        }
-    }
-    spfe::math::par::set_threads(None);
-}
-
 /// Concurrent sessions multiplex on one listener without interference:
 /// several drivers at once, every digest right, every session completed.
 #[test]
@@ -217,10 +147,10 @@ fn concurrent_sessions_multiplex_on_one_listener() {
     let names = [
         "xor2",
         "poly_it",
-        "multiserver",
-        "hom_pir",
+        "two_phase",
+        "weighted_sum",
         "xor2",
-        "poly_it",
+        "frequency",
     ];
     let handles: Vec<_> = names
         .iter()

@@ -12,7 +12,7 @@ mod common;
 use common::*;
 
 use spfe_bench::serve;
-use spfe_net::{fetch_stats, run_driver, run_driver_relay, Server, ServerConfig};
+use spfe_net::{fetch_stats, run_driver, Server, ServerConfig};
 use spfe_obs::metrics::{parse_snapshot, FailureKind, MetricsSnapshot};
 use std::io::Write;
 use std::net::TcpStream;
@@ -37,7 +37,7 @@ fn wait_settled(server: &Server, opened: u64) -> MetricsSnapshot {
     }
 }
 
-/// The tentpole contract: after compute and relay sessions, the server's
+/// The tentpole contract: after sessions of every driver, the server's
 /// per-driver rows equal the client transcripts exactly — sessions,
 /// bytes in/out, half-rounds — and the JSON scraped over the wire parses
 /// back to the same counters.
@@ -48,62 +48,63 @@ fn server_metrics_match_client_transcripts_exactly() {
     let addr = server.local_addr().to_string();
     let table = drivers();
 
-    // Two compute sessions of the same driver (aggregates must add up)…
-    let mut hom_pir_reports = Vec::new();
-    for _ in 0..2 {
-        let run = run_driver(&addr, "hom_pir", Some(DEADLINE)).expect("hom_pir over TCP");
-        assert_eq!(run.mode, spfe::transport::SessionMode::Compute);
-        hom_pir_reports.push(run.transcript.report());
+    // Two sessions of hom_pir (aggregates must add up) and one of every
+    // other driver.
+    let mut reports = Vec::new();
+    for d in &table {
+        let runs = if d.name == "hom_pir" { 2 } else { 1 };
+        for _ in 0..runs {
+            let run = run_driver(&addr, d.name, Some(DEADLINE)).expect("driver over TCP");
+            assert_eq!(run.digest, d.expect, "[{}] digest", d.name);
+            reports.push((d.name, run.transcript.report()));
+        }
     }
-    // …and one relay session (the echoing path meters logically).
-    let xor2 = table.iter().find(|d| d.name == "xor2").unwrap();
-    let relay = run_driver_relay(&addr, xor2, Some(DEADLINE)).expect("xor2 relay");
-    let relay_report = relay.transcript.report();
+    let sessions = reports.len() as u64;
 
-    let snap = wait_settled(&server, 3);
-    assert_eq!(snap.sessions_opened, 3);
-    assert_eq!(snap.sessions_completed, 3);
+    let snap = wait_settled(&server, sessions);
+    assert_eq!(snap.sessions_opened, sessions);
+    assert_eq!(snap.sessions_completed, sessions);
     assert_eq!(snap.sessions_failed(), 0);
 
-    let hp = snap
-        .driver("hom_pir", "compute")
-        .expect("hom_pir/compute row");
-    assert_eq!(hp.sessions, 2);
-    assert_eq!(hp.completed, 2);
-    assert_eq!(
-        hp.bytes_in,
-        hom_pir_reports
-            .iter()
-            .map(|r| r.client_to_server)
-            .sum::<u64>(),
-        "server-metered client->server bytes must equal the client transcripts"
-    );
-    assert_eq!(
-        hp.bytes_out,
-        hom_pir_reports
-            .iter()
-            .map(|r| r.server_to_client)
-            .sum::<u64>()
-    );
-    assert_eq!(
-        hp.half_rounds,
-        hom_pir_reports
-            .iter()
-            .map(|r| u64::from(r.half_rounds))
-            .sum::<u64>(),
-        "Bye carries the final transcript stamp; the server must agree"
-    );
+    for d in &table {
+        let mine: Vec<_> = reports.iter().filter(|(n, _)| *n == d.name).collect();
+        let row = snap
+            .driver(d.name, "compute")
+            .unwrap_or_else(|| panic!("{}/compute row", d.name));
+        assert_eq!(row.sessions, mine.len() as u64, "[{}]", d.name);
+        assert_eq!(row.completed, mine.len() as u64, "[{}]", d.name);
+        assert_eq!(
+            row.bytes_in,
+            mine.iter().map(|(_, r)| r.client_to_server).sum::<u64>(),
+            "[{}] server-metered client->server bytes must equal the client transcripts",
+            d.name
+        );
+        assert_eq!(
+            row.bytes_out,
+            mine.iter().map(|(_, r)| r.server_to_client).sum::<u64>(),
+            "[{}]",
+            d.name
+        );
+        assert_eq!(
+            row.half_rounds,
+            mine.iter()
+                .map(|(_, r)| u64::from(r.half_rounds))
+                .sum::<u64>(),
+            "[{}] Bye carries the final transcript stamp; the server must agree",
+            d.name
+        );
+    }
 
-    let xr = snap.driver("xor2", "relay").expect("xor2/relay row");
-    assert_eq!((xr.sessions, xr.completed), (1, 1));
-    assert_eq!(xr.bytes_in, relay_report.client_to_server);
-    assert_eq!(xr.bytes_out, relay_report.server_to_client);
-    assert_eq!(xr.half_rounds, u64::from(relay_report.half_rounds));
-
-    // Global byte totals are the sum of the per-driver rows — echoes and
-    // scrape traffic never inflate them.
-    assert_eq!(snap.bytes_in, hp.bytes_in + xr.bytes_in);
-    assert_eq!(snap.bytes_out, hp.bytes_out + xr.bytes_out);
+    // Global byte totals are the sum of the per-driver rows — scrape
+    // traffic never inflates them.
+    assert_eq!(
+        snap.bytes_in,
+        snap.drivers.iter().map(|r| r.bytes_in).sum::<u64>()
+    );
+    assert_eq!(
+        snap.bytes_out,
+        snap.drivers.iter().map(|r| r.bytes_out).sum::<u64>()
+    );
 
     // The same snapshot over the wire: scraped JSON parses back with
     // identical session/byte counters and passes the health gate.
@@ -123,7 +124,7 @@ fn server_metrics_match_client_transcripts_exactly() {
 
     // Scrapes are probes, not sessions.
     let after = server.snapshot();
-    assert_eq!(after.sessions_opened, 3);
+    assert_eq!(after.sessions_opened, sessions);
     assert!(after.stats_probes >= 1);
 }
 
@@ -227,8 +228,7 @@ fn session_panic_is_contained_counted_and_survivable() {
     let addr = server.local_addr().to_string();
     let table = drivers();
 
-    let xor2 = table.iter().find(|d| d.name == "xor2").unwrap();
-    run_driver_relay(&addr, xor2, Some(Duration::from_secs(5)))
+    run_driver(&addr, "xor2", Some(Duration::from_secs(5)))
         .expect_err("session against a panicking thread must fail client-side");
 
     let start = Instant::now();
@@ -250,7 +250,7 @@ fn session_panic_is_contained_counted_and_survivable() {
     assert_eq!(snap.sessions_completed, 1);
     assert_eq!(snap.sessions_failed(), 1);
     let row = snap
-        .driver("xor2", "relay")
+        .driver("xor2", "compute")
         .expect("panicked row is folded");
     assert_eq!((row.sessions, row.failed), (1, 1));
 }

@@ -1,21 +1,18 @@
 //! Deadline and fault behaviour of the networked service (DESIGN.md §15):
 //! a stalling peer surfaces as a typed [`ProtocolError::Timeout`] within
-//! the configured deadline (not a hang), a poisoned socket channel burns
-//! its retry budget instantly instead of paying the deadline per attempt,
-//! and a session killed mid-protocol leaves the server's other sessions
-//! fully functional.
+//! the configured deadline (not a hang), a session costs one deadline in
+//! total rather than one per message, and a session killed mid-protocol
+//! leaves the server's other sessions fully functional.
 
 mod common;
 use common::*;
 
 use spfe::transport::frame::{read_frame, write_frame};
-use spfe::transport::{
-    Channel, Direction, Frame, FrameKind, ProtocolError, SessionMode, SocketChannel,
-};
-use spfe_net::{next_session_id, run_driver, Server, ServerConfig};
+use spfe::transport::{Frame, FrameKind, ProtocolError, SessionCore};
+use spfe_net::{next_session_id, run_core, run_driver, Server, ServerConfig};
 use spfe_obs::metrics::FailureKind;
 use std::io::Read;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 const DEADLINE: Duration = Duration::from_millis(300);
@@ -23,11 +20,37 @@ const DEADLINE: Duration = Duration::from_millis(300);
 /// point is "bounded by the deadline", not "takes forever".
 const BOUND: Duration = Duration::from_secs(5);
 
-fn connect_with_deadline(addr: std::net::SocketAddr) -> TcpStream {
+fn connect_with_deadline(addr: SocketAddr) -> TcpStream {
     let s = TcpStream::connect(addr).expect("connect");
     s.set_read_timeout(Some(DEADLINE)).unwrap();
     s.set_write_timeout(Some(DEADLINE)).unwrap();
     s
+}
+
+/// A peer that acknowledges the Hello and then swallows everything,
+/// replying to nothing.
+fn mute_after_handshake() -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let hello = read_frame(&mut stream, 0, "t").unwrap();
+        let ack = Frame::control(
+            FrameKind::Hello,
+            false,
+            hello.session,
+            &hello.label,
+            Vec::new(),
+        );
+        write_frame(&mut stream, &ack, 0, "t").unwrap();
+        let mut sink = [0u8; 1024];
+        while let Ok(n) = stream.read(&mut sink) {
+            if n == 0 {
+                break;
+            }
+        }
+    });
+    (addr, peer)
 }
 
 /// A server that accepts and then never answers: the Hello handshake
@@ -42,12 +65,13 @@ fn stalling_server_times_out_the_handshake() {
         std::thread::sleep(Duration::from_secs(6));
         drop(stream);
     });
+    let mut cores = (driver("xor2").unwrap().cores)(0);
     let start = Instant::now();
-    let err = SocketChannel::connect(
+    let err = run_core(
         connect_with_deadline(addr),
-        2,
         "xor2",
-        SessionMode::Relay,
+        cores.client.as_mut(),
+        2,
         next_session_id(),
     )
     .expect_err("handshake against a mute server must fail");
@@ -69,119 +93,51 @@ fn stalling_server_times_out_the_handshake() {
     drop(hold); // detach; the holder thread exits on its own clock
 }
 
-/// A server that completes the handshake and then goes mute: the first
-/// transfer times out, and the poisoned channel fails every subsequent
-/// transfer instantly with the same error — a stalled server costs one
-/// deadline, not one per retry attempt.
+/// A server that completes the handshake and then goes mute: the
+/// session's first reply times out, typed, after one deadline — the
+/// client sent both xor2 queries, so a stalled server costs one deadline
+/// per session, not one per message.
 #[test]
 fn stalling_server_times_out_one_deadline_total() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let peer = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let hello = read_frame(&mut stream, 0, "t").unwrap();
-        let ack = Frame {
-            kind: FrameKind::Hello,
-            client_to_server: false,
-            session: hello.session,
-            half_round: 0,
-            server: 0,
-            label: hello.label.clone(),
-            payload: hello.payload.clone(),
-        };
-        write_frame(&mut stream, &ack, 0, "t").unwrap();
-        // Swallow everything after the handshake, reply to nothing.
-        let mut sink = [0u8; 1024];
-        while let Ok(n) = stream.read(&mut sink) {
-            if n == 0 {
-                break;
-            }
-        }
-    });
-    let mut ch = SocketChannel::connect(
+    let (addr, peer) = mute_after_handshake();
+    let mut cores = (driver("xor2").unwrap().cores)(0);
+    let start = Instant::now();
+    let err = run_core(
         connect_with_deadline(addr),
-        2,
         "xor2",
-        SessionMode::Relay,
+        cores.client.as_mut(),
+        2,
         next_session_id(),
     )
-    .expect("handshake");
-    let start = Instant::now();
-    let err = ch
-        .transfer_raw(Direction::ClientToServer(0), "pir2-query", &[1, 2, 3])
-        .expect_err("transfer against a mute relay must fail");
+    .expect_err("a session against a mute peer must fail");
     assert!(
         matches!(
             err,
             ProtocolError::Timeout {
-                label: "pir2-query",
+                label: "net-msg",
                 ..
             }
         ),
         "expected a typed transfer timeout, got {err:?}"
     );
-    // Poisoned: instant replay of the same error, no second deadline.
-    let again = ch
-        .transfer_raw(Direction::ClientToServer(1), "pir2-query", &[4])
-        .expect_err("poisoned channel must fail fast");
-    assert_eq!(again, err);
     assert!(
         start.elapsed() < BOUND,
-        "two failing transfers took {:?}; poisoning must make the second free",
+        "the stalled session took {:?}; it must cost one deadline",
         start.elapsed()
-    );
-    assert_eq!(
-        ch.transcript().report().messages,
-        0,
-        "nothing delivered, nothing metered"
     );
     drop(peer);
 }
 
-/// A full monolithic driver over a stalling relay: the bounded retry
-/// policy must abort (timeout or exhausted retries) within the bound —
-/// never hang for attempts × deadline.
+/// A full driver run over a stalling peer: the session must abort with a
+/// typed timeout within the bound — never hang.
 #[test]
-fn driver_over_stalling_relay_aborts_bounded() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap();
-    let peer = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().unwrap();
-        let hello = read_frame(&mut stream, 0, "t").unwrap();
-        let ack = Frame {
-            kind: FrameKind::Hello,
-            client_to_server: false,
-            session: hello.session,
-            half_round: 0,
-            server: 0,
-            label: hello.label,
-            payload: hello.payload,
-        };
-        write_frame(&mut stream, &ack, 0, "t").unwrap();
-        let mut sink = [0u8; 1024];
-        while let Ok(n) = stream.read(&mut sink) {
-            if n == 0 {
-                break;
-            }
-        }
-    });
-    let d_table = drivers();
-    let d = d_table.iter().find(|d| d.name == "xor2").unwrap();
-    let mut ch = SocketChannel::connect(
-        connect_with_deadline(addr),
-        d.servers,
-        d.name,
-        SessionMode::Relay,
-        next_session_id(),
-    )
-    .expect("handshake");
+fn driver_over_stalling_peer_aborts_bounded() {
+    let (addr, peer) = mute_after_handshake();
     let start = Instant::now();
-    let err = (d.run)(&mut ch).expect_err("driver over a mute relay must abort");
+    let err = run_driver(&addr.to_string(), "weighted_sum", Some(DEADLINE))
+        .expect_err("driver over a mute peer must abort");
     assert!(
-        matches!(
-            err,
-            ProtocolError::Timeout { .. } | ProtocolError::RetriesExhausted { .. }
-        ),
+        matches!(err, ProtocolError::Timeout { .. }),
         "expected a bounded typed abort, got {err:?}"
     );
     assert!(
@@ -202,20 +158,27 @@ fn killed_session_leaves_other_sessions_serving() {
     let addr_sock = server.local_addr();
     let addr = addr_sock.to_string();
 
-    // Session A: handshake, one live transfer, then die mid-protocol.
-    let mut victim = SocketChannel::connect(
-        connect_with_deadline(addr_sock),
-        2,
-        "xor2",
-        SessionMode::Relay,
-        next_session_id(),
-    )
-    .expect("victim handshake");
-    let echoed = victim
-        .transfer_raw(Direction::ClientToServer(0), "pir2-query", &[9, 9])
-        .expect("victim transfer");
-    assert_eq!(echoed, vec![9, 9]);
-    drop(victim); // no Bye: the connection just dies mid-session
+    // Session A: handshake and one live exchange (the first xor2 query
+    // and its answer), then die mid-protocol.
+    {
+        let mut victim = connect_with_deadline(addr_sock);
+        let session = next_session_id();
+        let hello = Frame::control(FrameKind::Hello, true, session, "xor2", Vec::new());
+        write_frame(&mut victim, &hello, 0, "net-hello").unwrap();
+        let ack = read_frame(&mut victim, 0, "net-hello").unwrap();
+        assert_eq!(ack.kind, FrameKind::Hello);
+        let mut cores = (driver("xor2").unwrap().cores)(0);
+        let (_, queries) = cores.client.start().unwrap();
+        let q = &queries[0];
+        let frame = Frame::msg(true, session, 1, q.server, q.label, q.payload.clone());
+        write_frame(&mut victim, &frame, q.server, q.label).unwrap();
+        let answer = read_frame(&mut victim, 0, "pir2-answer").unwrap();
+        assert_eq!(
+            (answer.kind, answer.label.as_str()),
+            (FrameKind::Msg, "pir2-answer")
+        );
+        // No Bye: the connection just dies mid-session.
+    }
 
     // Session B: feed the server a garbage frame so its session thread
     // errors out (not merely EOF).

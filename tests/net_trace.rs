@@ -5,21 +5,20 @@
 //! * [`pump`] stamps every logical delivery exactly once — under the two
 //!   audit mask seeds the retried deliveries reuse their stamps, so the
 //!   Lamport sequence is identical to the honest run's.
-//! * [`SocketChannel`] absorbs `TraceCtx` frames transparently (nothing
+//! * [`run_core`] absorbs `TraceCtx` frames transparently (nothing
 //!   metered) and merges the carried stamp into its own clock, so every
 //!   receive stamp lands strictly after the matching send.
-//! * A genuine loopback-TCP run — relay and compute mode, at
-//!   `SPFE_THREADS` 1 and 4 — yields client and server journals that
-//!   `spfe_bench::nettrace` merges into one causally consistent
-//!   timeline: the cross-process gate the CI smoke stage also runs over
-//!   the real binaries.
+//! * A genuine loopback-TCP run — two drivers, at `SPFE_THREADS` 1 and 4
+//!   — yields client and server journals that `spfe_bench::nettrace`
+//!   merges into one causally consistent timeline: the cross-process
+//!   gate the CI smoke stage also runs over the real binaries.
 
 mod common;
 use common::*;
 
-use spfe::transport::{pump, FaultAction, FaultPlan, FaultyChannel, Frame, FrameKind};
+use spfe::transport::{pump, FaultAction, FaultPlan, FaultyChannel, Frame, FrameKind, Wire};
 use spfe_bench::nettrace;
-use spfe_net::{run_driver, Server, ServerConfig};
+use spfe_net::{run_core, run_driver, Server, ServerConfig};
 use spfe_obs::trace::{self, EventKind, Trace};
 use std::io::{Read, Write};
 use std::sync::Mutex;
@@ -58,16 +57,12 @@ fn net_events(trace: &Trace) -> Vec<WireEvent> {
     out
 }
 
-fn pump_core(name: &str, plan: FaultPlan) -> (u64, Vec<WireEvent>) {
-    let table = drivers();
-    let d = table.iter().find(|d| d.name == name).expect("core driver");
+fn pump_core(d: &Driver, plan: FaultPlan) -> (u64, Vec<WireEvent>) {
     let mut digest = 0;
-    let servers = d.servers;
     let trace = captured(|| {
-        let mut ch = FaultyChannel::new(servers, plan, 0);
-        let mut client = net_client_core(name).expect("client core");
-        let mut cores = net_server_cores(name).expect("server cores");
-        digest = pump(&mut ch, client.as_mut(), &mut cores).expect("pump run");
+        let mut ch = FaultyChannel::new(d.servers, plan, 0);
+        let mut cores = (d.cores)(0);
+        digest = pump(&mut ch, cores.client.as_mut(), &mut cores.servers).expect("pump run");
     });
     (digest, net_events(&trace))
 }
@@ -80,8 +75,9 @@ fn pump_core(name: &str, plan: FaultPlan) -> (u64, Vec<WireEvent>) {
 fn pump_stamps_survive_masked_fault_seeds() {
     let _g = LOCK.lock().unwrap();
     let _ = fx();
-    for name in NET_CORE_DRIVERS {
-        let (digest, honest) = pump_core(name, FaultPlan::honest());
+    for d in drivers() {
+        let name = d.name;
+        let (digest, honest) = pump_core(&d, FaultPlan::honest());
         assert!(!honest.is_empty(), "[{name}] journal captured the run");
         // pump emits send/recv pairs synchronously: check pairwise order.
         assert_eq!(honest.len() % 2, 0);
@@ -98,7 +94,7 @@ fn pump_stamps_survive_masked_fault_seeds() {
             );
         }
         for seed in [11u64, 77] {
-            let (d2, faulty) = pump_core(name, FaultPlan::with_rate(seed, FaultAction::Drop, 300));
+            let (d2, faulty) = pump_core(&d, FaultPlan::with_rate(seed, FaultAction::Drop, 300));
             assert_eq!(d2, digest, "[{name} seed {seed}] digest");
             assert_eq!(
                 faulty, honest,
@@ -115,7 +111,7 @@ struct Script {
 }
 
 impl Script {
-    fn relay_for(frames: &[Frame]) -> Script {
+    fn replying(frames: &[Frame]) -> Script {
         let mut replies = std::collections::VecDeque::new();
         for f in frames {
             replies.extend(f.to_bytes());
@@ -147,51 +143,52 @@ impl Write for Script {
     }
 }
 
-/// Satellite: `SocketChannel` merges the peer's carried stamp (receive
-/// stamp strictly above both clocks), absorbs the `TraceCtx` frame
-/// without metering it, and keeps its own stamps monotone.
+/// Satellite: the client's socket channel ([`run_core`] over a stream)
+/// merges the peer's carried stamp (receive stamp strictly above both
+/// clocks), absorbs the `TraceCtx` frame without metering it, and keeps
+/// its own stamps monotone.
 #[test]
 fn socket_channel_merges_carried_stamps_and_meters_nothing_extra() {
-    use spfe::transport::{Channel, Direction, SessionMode, SocketChannel};
     let _g = LOCK.lock().unwrap();
-    let hello_ack = Frame {
-        kind: FrameKind::Hello,
-        client_to_server: false,
-        session: 9,
-        half_round: 0,
-        server: 0,
-        label: "toy".to_owned(),
-        payload: vec![0],
-    };
-    // The peer's echo rides behind a TraceCtx carrying stamp 9.
-    let script = Script::relay_for(&[
+    let hello_ack = Frame::control(FrameKind::Hello, false, 9, "xor2", Vec::new());
+    // Both xor2 answers come back; the first rides behind a TraceCtx
+    // carrying stamp 9.
+    let answer = vec![1u8, 2, 3].to_bytes();
+    let script = Script::replying(&[
         hello_ack,
-        Frame::trace_ctx(false, 9, 1, 9),
-        Frame::msg(true, 9, 0, 0, "q", vec![1, 2, 3]),
+        Frame::trace_ctx(false, 9, 2, 9),
+        Frame::msg(false, 9, 2, 0, "pir2-answer", answer.clone()),
+        Frame::msg(false, 9, 2, 1, "pir2-answer", answer.clone()),
     ]);
-    let mut report = None;
+    let mut outcome = None;
     let trace = captured(|| {
-        let mut ch = SocketChannel::connect(script, 1, "toy", SessionMode::Relay, 9).unwrap();
-        let got = ch
-            .transfer_raw(Direction::ClientToServer(0), "q", &[1, 2, 3])
-            .unwrap();
-        assert_eq!(got, vec![1, 2, 3]);
-        ch.bye();
-        report = Some(ch.transcript().report());
+        let mut cores = (driver("xor2").unwrap().cores)(0);
+        outcome = Some(run_core(script, "xor2", cores.client.as_mut(), 2, 9).unwrap());
     });
-    // TraceCtx is never metered: one message, three payload bytes.
-    let report = report.unwrap();
-    assert_eq!((report.messages, report.client_to_server), (1, 3));
+    // Identical answers XOR to the zero item.
+    let (digest, transcript) = outcome.unwrap();
+    assert_eq!(digest, 0);
+    // TraceCtx is never metered: two queries up, two answers down.
+    let report = transcript.report();
+    assert_eq!(report.messages, 4);
+    assert_eq!(report.server_to_client, 2 * answer.len() as u64);
     let events = net_events(&trace);
-    // send q (tick 1), recv echo (observe 9 → 10), send bye (tick 11).
+    // send q0 (tick 1), send q1 (tick 2), recv a0 (observe 9 → 10),
+    // recv a1 (observe → 11), send bye (tick 12).
     assert_eq!(
         events
             .iter()
             .map(|&(send, label, _, _, lamport)| (send, label, lamport))
             .collect::<Vec<_>>(),
-        vec![(true, "q", 1), (false, "q", 10), (true, "net-bye", 11)]
+        vec![
+            (true, "pir2-query", 1),
+            (true, "pir2-query", 2),
+            (false, "pir2-answer", 10),
+            (false, "pir2-answer", 11),
+            (true, "net-bye", 12)
+        ]
     );
-    // The channel journalled its session slice around the wire events.
+    // The client journalled its session slice around the wire events.
     let opens = trace.threads.iter().flat_map(|t| &t.events).filter(|e| {
         matches!(
             e.kind,
@@ -224,7 +221,7 @@ fn split_parties(trace: &Trace) -> (Trace, Trace) {
     (client, server)
 }
 
-/// The acceptance gate, in-process: relay and compute sessions over real
+/// The acceptance gate, in-process: sessions of two drivers over real
 /// loopback TCP at `SPFE_THREADS` 1 and 4; the captured client and
 /// server journals must merge into one causally consistent timeline
 /// with both process tracks and per-pair flow arrows.
@@ -232,13 +229,6 @@ fn split_parties(trace: &Trace) -> (Trace, Trace) {
 fn tcp_journals_merge_into_a_causally_consistent_timeline() {
     let _g = LOCK.lock().unwrap();
     let _ = fx();
-    let table = drivers();
-    let compute = NET_CORE_DRIVERS[0];
-    let relay = table
-        .iter()
-        .find(|d| !NET_CORE_DRIVERS.contains(&d.name))
-        .expect("a relay-mode driver")
-        .name;
     for threads in [1usize, 4] {
         spfe::math::par::set_threads(Some(threads));
         let mut server =
@@ -249,7 +239,7 @@ fn tcp_journals_merge_into_a_causally_consistent_timeline() {
             // on thread exit, exactly like a separate client process.
             let addr = addr.clone();
             std::thread::spawn(move || {
-                for name in [relay, compute] {
+                for name in ["weighted_sum", "xor2"] {
                     let run = run_driver(&addr, name, Some(std::time::Duration::from_secs(30)))
                         .expect("tcp run");
                     let d = drivers().into_iter().find(|d| d.name == name).unwrap();
@@ -258,6 +248,12 @@ fn tcp_journals_merge_into_a_causally_consistent_timeline() {
             })
             .join()
             .expect("client thread");
+            // The server journals a session completely before settling it.
+            let start = std::time::Instant::now();
+            while server.snapshot().sessions_active > 0 || server.sessions_opened() < 2 {
+                assert!(start.elapsed().as_secs() < 10, "sessions never settled");
+                std::thread::sleep(std::time::Duration::from_millis(5));
+            }
             server.shutdown();
         });
         let (client_half, server_half) = split_parties(&trace);
@@ -265,7 +261,7 @@ fn tcp_journals_merge_into_a_causally_consistent_timeline() {
             .expect("client journal parses");
         let srv = nettrace::parse_party(&spfe_obs::export::perfetto_json(&server_half))
             .expect("server journal parses");
-        assert_eq!(client.sessions.len(), 2, "relay + compute session");
+        assert_eq!(client.sessions.len(), 2, "one session per driver");
         let (timeline, report) = nettrace::merge("e2e", &client, &srv);
         assert_eq!(
             report.violations,
@@ -274,11 +270,9 @@ fn tcp_journals_merge_into_a_causally_consistent_timeline() {
         );
         assert_eq!(report.sessions, 2);
         assert!(report.flows > 0);
-        // Modes journalled as declared: relay = 0, compute = 1.
+        // Both parties journalled every session under its driver.
         for s in &client.sessions {
-            let want = u64::from(s.driver == compute);
-            assert_eq!(s.mode, want, "[{}] mode code", s.driver);
-            assert_eq!(srv.session(s.session).unwrap().mode, want);
+            assert_eq!(srv.session(s.session).unwrap().driver, s.driver);
         }
         // The merged artifact: ≥ 2 process tracks and flow arrows.
         let doc = spfe_obs::json::parse(&timeline).expect("merged timeline is JSON");
