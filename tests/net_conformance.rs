@@ -135,6 +135,86 @@ fn op_counters_are_thread_invariant() {
     spfe::math::par::set_threads(None);
 }
 
+/// Runs driver `name`'s canonical case through its protocol's public
+/// entry point over `t`, with the client seed the harness cores use.
+/// `None` for drivers whose servers draw their own randomness, since the
+/// entry point shares one rng between the parties and the cores do not.
+fn entry_point(name: &str, t: &mut Transcript) -> Option<u64> {
+    use spfe::crypto::ChaChaRng;
+    let f = fx();
+    Some(match name {
+        "xor2" => {
+            let mut rng = ChaChaRng::from_u64_seed(0xA0);
+            let item = spfe::pir::xor2::run(t, &xor_db_v(0), 5, &mut rng).expect("xor2 run");
+            item.iter().map(|&b| u64::from(b)).sum()
+        }
+        "hom_pir" => {
+            let mut rng = ChaChaRng::from_u64_seed(0xA1);
+            spfe::pir::hom_pir::run(t, &f.pk, &f.sk, &db16_v(0), 9, &mut rng).expect("hom_pir run")
+        }
+        "poly_it" => {
+            let mut rng = ChaChaRng::from_u64_seed(0xA5);
+            spfe::pir::poly_it::run(t, &poly_params(), &db16_v(0), 5, &mut rng)
+                .expect("poly_it run")
+        }
+        "multiserver" => {
+            let mut rng = ChaChaRng::from_u64_seed(0xA6);
+            spfe::core::multiserver::run(t, &ms_params(), &db16_v(0), &[3, 10], None, &mut rng)
+                .expect("multiserver run")
+        }
+        _ => return None,
+    })
+}
+
+/// The sans-io half of the matrix: for every driver whose servers draw no
+/// randomness, the protocol's public entry point and the harness-built
+/// cores — pumped in memory, pumped under masked faults, and hosted over
+/// loopback TCP — produce identical observables.
+#[test]
+fn extracted_cores_match_their_monolithic_drivers() {
+    let _g = LOCK.lock().unwrap();
+    let server = local_server();
+    let addr = server.local_addr().to_string();
+    let mut covered = Vec::new();
+    for threads in [1usize, 4] {
+        for d in drivers() {
+            arm(threads);
+            let mut t = Transcript::new(d.servers);
+            let Some(digest) = entry_point(d.name, &mut t) else {
+                continue;
+            };
+            let base = observe(digest, &t);
+            assert_eq!(base.digest, d.expect, "[{} t{threads}] entry point", d.name);
+            if threads == 1 {
+                covered.push(d.name);
+            }
+
+            assert_eq!(
+                in_memory(&d, threads),
+                base,
+                "[{} t{threads}] cores over in-memory diverged from the entry point",
+                d.name
+            );
+            for seed in [11u64, 77] {
+                assert_eq!(
+                    faulty(&d, seed, threads),
+                    base,
+                    "[{} t{threads} seed {seed}] cores under masked faults diverged",
+                    d.name
+                );
+            }
+            assert_eq!(
+                tcp(&d, &addr, threads),
+                base,
+                "[{} t{threads}] hosted cores over TCP diverged from the entry point",
+                d.name
+            );
+        }
+    }
+    assert_eq!(covered, ["xor2", "hom_pir", "poly_it", "multiserver"]);
+    spfe::math::par::set_threads(None);
+}
+
 /// Concurrent sessions multiplex on one listener without interference:
 /// several drivers at once, every digest right, every session completed.
 #[test]
