@@ -16,7 +16,7 @@ use crate::statistic::Statistic;
 use spfe_circuits::boolean::{Circuit, CircuitBuilder, WireId};
 use spfe_crypto::SchnorrGroup;
 use spfe_math::RandomSource;
-use spfe_mpc::yao2pc::{self, to_bits};
+use spfe_mpc::yao2pc::{self, YaoClient, YaoServer};
 use spfe_transport::{Channel, ChannelExt, ProtocolError, Wire as _};
 
 /// Ships the entire database to the client, which evaluates locally.
@@ -163,12 +163,10 @@ pub fn generic_yao<R: RandomSource + ?Sized>(
     );
     let circuit = selection_circuit(n, m, value_bits, stat);
     let index_bits = spfe_circuits::formula::index_bits(n);
-    let server_bits: Vec<bool> = db.iter().flat_map(|&v| to_bits(v, value_bits)).collect();
-    let client_bits: Vec<bool> = indices
-        .iter()
-        .flat_map(|&i| to_bits(i as u64, index_bits))
-        .collect();
-    let out = yao2pc::run(t, group, &circuit, &server_bits, &client_bits, rng)?;
+    let server = YaoServer::new("generic-yao", group.clone(), circuit.clone(), value_bits);
+    let client = YaoClient::new("generic-yao", group.clone(), circuit, index_bits);
+    let client_words = indices.iter().map(|&i| i as u64).collect();
+    let out = yao2pc::run(t, (client, client_words), (server, db.to_vec()), rng)?;
     Ok(vec![yao2pc::from_bits(&out)])
 }
 

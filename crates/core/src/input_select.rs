@@ -22,6 +22,7 @@
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
 use spfe_math::{Fp64, Nat, Poly, RandomSource, SharedRng};
+use spfe_mpc::phase::{ShareClient, SharePhase, ShareServer};
 use spfe_pir::spir::{self, SpirParams, SpirQuery};
 use spfe_pir::{batched, words};
 use spfe_transport::{
@@ -191,8 +192,8 @@ impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> Select1Client<'
             .states
             .iter()
             .zip(&answers)
-            .map(|(st, a)| spir::client_decode(&self.params, self.pk, self.sk, st, a))
-            .collect::<Result<_, _>>()?;
+            .map(|(st, a)| Ok(spir::client_decode(&self.params, self.pk, self.sk, st, a)? % self.p))
+            .collect::<Result<_, ProtocolError>>()?;
         self.shares = Some(shares);
         Ok(())
     }
@@ -221,7 +222,7 @@ impl<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> ClientRounds
 }
 
 /// Server half of [`select1`]: per slot, draws its share `a_j` from
-/// `share_rng` and answers the SPIR query against `v_i = x_i − a_j`, with
+/// `share_rng` and answers the SPIR query against `v_i = x_i − a_j + p`, with
 /// pads from `rng`. Ends holding its shares.
 #[derive(Debug)]
 pub struct Select1Server<'a, P, R> {
@@ -273,7 +274,10 @@ impl<'a, P: HomomorphicPk, R: RandomSource> Select1Server<'a, P, R> {
             .map(|q| {
                 let a_j = field.random(&mut self.share_rng);
                 self.shares.push(a_j);
-                let vdb: Vec<u64> = self.db.iter().map(|&x| field.sub(x, a_j)).collect();
+                // Shifted into [p, 2p): no cell is zero, so the scan costs
+                // the same whatever share the server drew.
+                let p = field.modulus();
+                let vdb: Vec<u64> = self.db.iter().map(|&x| field.sub(x, a_j) + p).collect();
                 spir::server_answer(&self.params, self.pk, &vdb, q, &mut self.rng)
             })
             .collect::<Result<_, _>>()?;
@@ -289,53 +293,6 @@ impl<P: HomomorphicPk, R: RandomSource> ServerRounds for Select1Server<'_, P, R>
     fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
         self.answer_queries(query)
     }
-}
-
-/// A protocol phase that runs on additive shares mod `p` — after
-/// [`select1`] ([`Select1Then`]) or on shares the parties already hold
-/// ([`OnShares`]).
-pub trait SharePhase {
-    /// The phase's exchange.
-    fn exchange(&self) -> Exchange;
-}
-
-/// The client half of a [`SharePhase`].
-pub trait ShareClient: SharePhase {
-    /// The phase's query, built on the client's shares.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError`] if the query cannot be built.
-    fn query<R: RandomSource>(
-        &mut self,
-        shares: &[u64],
-        rng: &mut R,
-    ) -> Result<Vec<u8>, ProtocolError>;
-
-    /// Takes the server's reply.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError`] on a malformed reply.
-    fn absorb(&mut self, reply: &[u8]) -> Result<(), ProtocolError>;
-
-    /// The harness digest of the phase's output.
-    fn digest(&self) -> Option<u64>;
-}
-
-/// The server half of a [`SharePhase`].
-pub trait ShareServer: SharePhase {
-    /// Answers the client's query on the server's shares.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError`] on a malformed (client-controlled) query.
-    fn answer<R: RandomSource>(
-        &mut self,
-        shares: &[u64],
-        query: &[u8],
-        rng: &mut R,
-    ) -> Result<Vec<u8>, ProtocolError>;
 }
 
 /// Input selection by [`select1`], then `Ph` on the resulting shares:
@@ -420,64 +377,6 @@ where
             self.phase
                 .answer(&self.sel.shares, query, &mut self.sel.rng)
         }
-    }
-}
-
-/// A [`SharePhase`] on shares the party already holds.
-#[derive(Debug)]
-pub struct OnShares<Ph, R> {
-    phase: Ph,
-    shares: Vec<u64>,
-    rng: R,
-    exchanges: [Exchange; 1],
-}
-
-impl<Ph: SharePhase, R> OnShares<Ph, R> {
-    /// Runs `phase` on this party's `shares`.
-    pub fn new(phase: Ph, shares: Vec<u64>, rng: R) -> Self {
-        let exchanges = [phase.exchange()];
-        OnShares {
-            phase,
-            shares,
-            rng,
-            exchanges,
-        }
-    }
-
-    /// The phase (read its result once the session is done).
-    pub fn phase(&self) -> &Ph {
-        &self.phase
-    }
-}
-
-impl<Ph: ShareClient, R: RandomSource> ClientRounds for OnShares<Ph, R> {
-    fn exchanges(&self) -> &[Exchange] {
-        &self.exchanges
-    }
-
-    fn queries(&mut self, _step: usize) -> Result<Option<Queries>, ProtocolError> {
-        Ok(Some(vec![(
-            0,
-            self.phase.query(&self.shares, &mut self.rng)?,
-        )]))
-    }
-
-    fn absorb(&mut self, _step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
-        self.phase.absorb(&replies[0])
-    }
-
-    fn digest(&self) -> Option<u64> {
-        self.phase.digest()
-    }
-}
-
-impl<Ph: ShareServer, R: RandomSource> ServerRounds for OnShares<Ph, R> {
-    fn exchanges(&self) -> &[Exchange] {
-        &self.exchanges
-    }
-
-    fn answer(&mut self, _step: usize, query: &[u8]) -> Result<Vec<u8>, ProtocolError> {
-        self.phase.answer(&self.shares, query, &mut self.rng)
     }
 }
 

@@ -19,8 +19,8 @@ use spfe_circuits::formula::{encode_index, eval_formula_poly, index_bits, select
 use spfe_math::par::{par_map_cost, CostClass};
 use spfe_math::{Fp64, Poly, RandomSource, SharedRng};
 use spfe_transport::{
-    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
-    RoundServer, ServerRounds, Wire, WireError,
+    pump_parallel, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, Reader,
+    RoundClient, RoundServer, ServerRounds, Wire, WireError,
 };
 use std::borrow::Cow;
 
@@ -532,7 +532,7 @@ pub fn run<R: RandomSource + ?Sized>(
     let mut servers: Vec<_> = (0..params.num_servers())
         .map(|h| RoundServer::new(h, MsServer::new(h, params.clone(), db, blind.clone())))
         .collect();
-    pump(t, &mut client, &mut servers)
+    pump_parallel(t, &mut client, &mut servers)
 }
 
 /// The §4 "package": answers the *same* queries against both `x` and the

@@ -16,12 +16,11 @@
 //!   selection, one extra round of blinded, permuted comparisons; the
 //!   client counts decryptions ≡ 0.
 
-use crate::input_select::{
-    OnShares, ShareClient, SharePhase, ShareServer, SharesModP, STAT_SECURITY_BITS,
-};
+use crate::input_select::{SharesModP, STAT_SECURITY_BITS};
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
 use spfe_math::{Fp64, Nat, Poly, RandomSource, SharedRng};
+use spfe_mpc::phase::{pump_on, ShareClient, SharePhase, ShareServer};
 use spfe_pir::{batched, spir};
 use spfe_transport::{
     pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, RoundClient,
@@ -144,10 +143,11 @@ impl<'a, P: HomomorphicPk, R: RandomSource> WeightedSumServer<'a, P, R> {
         }
     }
 
-    /// The database masked by `P_s`.
+    /// The database masked by `P_s`, shifted into `[p, 2p)`: no cell is
+    /// zero, so the scans cost the same whatever mask the server drew.
     fn masked<'s>(&'s self, s_poly: &'s Poly) -> impl Iterator<Item = u64> + 's {
-        let field = self.field;
-        (self.db.iter().enumerate()).map(move |(i, &x)| field.add(x, s_poly.eval(i as u64)))
+        let (field, p) = (self.field, self.field.modulus());
+        (self.db.iter().enumerate()).map(move |(i, &x)| field.add(x, s_poly.eval(i as u64)) + p)
     }
 }
 
@@ -174,9 +174,18 @@ impl<P: HomomorphicPk, R: RandomSource> ServerRounds for WeightedSumServer<'_, P
             .s_poly
             .as_ref()
             .expect("the first exchange precedes fallbacks");
+        let queries = Vec::<spir::SpirQuery>::from_bytes(query)?;
+        // At most one fallback per sampled index, and only for a session
+        // that has leftovers: each query is an Ω(n) scan of the masked db.
+        if queries.is_empty() || queries.len() > self.m {
+            return Err(ProtocolError::InvalidMessage {
+                label: "wsum-fallback-q",
+                reason: "fallback count exceeds the sample size",
+            });
+        }
         let masked: Vec<u64> = self.masked(s_poly).collect();
         let params = spir::SpirParams::new(self.group.clone(), self.db.len());
-        let answers: Vec<spir::SpirAnswer> = Vec::<spir::SpirQuery>::from_bytes(query)?
+        let answers: Vec<spir::SpirAnswer> = queries
             .iter()
             .map(|fq| spir::server_answer(&params, pk, &masked, fq, &mut self.rng))
             .collect::<Result<_, _>>()?;
@@ -246,7 +255,7 @@ impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> WeightedSumClie
             .iter()
             .zip(&self.weights)
             .fold(0u64, |acc, (v, &w)| {
-                field.add(acc, field.mul(field.from_u64(w), v[0]))
+                field.add(acc, field.mul(field.from_u64(w), field.from_u64(v[0])))
             });
         let func = self.pk.ciphertext_from_bytes(&self.func).ok_or(BAD_FUNC)?;
         let func_val = self.sk.decrypt(&func);
@@ -436,10 +445,11 @@ where
     // Server: two independent masks; the same query answered twice.
     let s1 = Poly::random(m.saturating_sub(1), field, rng);
     let s2 = Poly::random(m.saturating_sub(1), field, rng);
+    // Shifted into [p, 2p), as in weighted_sum: no cell is zero.
     let mask = |base: &[u64], s: &Poly| -> Vec<Vec<u64>> {
         base.iter()
             .enumerate()
-            .map(|(i, &x)| vec![field.add(x, s.eval(i as u64))])
+            .map(|(i, &x)| vec![field.add(x, s.eval(i as u64)) + p])
             .collect()
     };
     let a1 = batched::server_answer_words(group, pk, &mask(db, &s1), &queries, rng)?;
@@ -456,14 +466,15 @@ where
         label: "avgvar-answer",
         reason: "malformed functional reply",
     };
-    let decode =
-        |answers: &[spfe_pir::spir::SpirWordsAnswer], func: &[u8]| -> Result<u64, ProtocolError> {
-            let retrieved = batched::client_decode_words(pk, sk, &state, answers, 1)?;
-            let masked_sum = retrieved.iter().fold(0u64, |acc, v| field.add(acc, v[0]));
-            let func_val = sk.decrypt(&pk.ciphertext_from_bytes(func).ok_or(BAD_FUNC)?);
-            let mask_sum = func_val.rem(&Nat::from(p)).to_u64().ok_or(BAD_FUNC)?;
-            Ok(field.sub(masked_sum, mask_sum))
-        };
+    let decode = |answers: &[spfe_pir::spir::SpirWordsAnswer],
+                  func: &[u8]|
+     -> Result<u64, ProtocolError> {
+        let retrieved = batched::client_decode_words(pk, sk, &state, answers, 1)?;
+        let masked_sum = (retrieved.iter()).fold(0, |acc, v| field.add(acc, field.from_u64(v[0])));
+        let func_val = sk.decrypt(&pk.ciphertext_from_bytes(func).ok_or(BAD_FUNC)?);
+        let mask_sum = func_val.rem(&Nat::from(p)).to_u64().ok_or(BAD_FUNC)?;
+        Ok(field.sub(masked_sum, mask_sum))
+    };
     Ok((decode(&a1, &f1)?, decode(&a2, &f2)?))
 }
 
@@ -695,12 +706,14 @@ where
     assert!(m > 0 && shares.client.len() == m && keywords.len() == m);
     let field = Fp64::new(shares.p).expect("share modulus must be prime");
     check_capacity(pk, shares.p, m);
-    let rng = SharedRng::new(rng);
     let client = FrequencyClient::new(exchange, pk, sk, field, keywords);
-    let mut client = RoundClient::new(OnShares::new(client, shares.client.clone(), &rng));
     let server = FrequencyServer::new(exchange, pk, field);
-    let server = OnShares::new(server, shares.server.clone(), &rng);
-    pump(t, &mut client, &mut [RoundServer::new(0, server)])
+    let (client, server) = (
+        (client, shares.client.clone()),
+        (server, shares.server.clone()),
+    );
+    let client = pump_on(t, client, server, rng)?;
+    Ok(ShareClient::digest(&client).expect("pump finished the session"))
 }
 
 /// The §4 frequency protocol: given additive shares of the selected items

@@ -15,166 +15,15 @@
 //! The end-to-end runners ([`run_select1_yao`] etc.) reproduce the four
 //! single-server Table 1 rows together with `psm_spfe`.
 
-use crate::input_select::{
-    self, IntShares, OnShares, Select1Client, Select1Server, Select1Then, ShareClient, SharePhase,
-    ShareServer, SharesModP,
-};
+use crate::input_select::{self, IntShares, Select1Client, Select1Server, Select1Then, SharesModP};
 use crate::statistic::Statistic;
 use spfe_circuits::boolean::Circuit;
 use spfe_circuits::builders::bits_for;
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
 use spfe_math::{Fp64, Nat, RandomSource, SharedRng};
-use spfe_mpc::yao2pc::{self, to_bits};
-use spfe_transport::{pump, Channel, Exchange, ProtocolError, RoundClient, RoundServer, Wire};
-
-/// The Yao phase's exchange under the protocol span `span`: the client's
-/// OT queries up, the garbled circuit with its transfers down.
-pub const fn yao_exchange(span: &'static str) -> Exchange {
-    Exchange::new(span, "yao-query", "yao-reply", "server-eval")
-}
-
-/// Client half of Yao's protocol on shares: the client evaluates
-/// `circuit` on its share bits (plus any extra private input bits), the
-/// server garbling it with its own share bits.
-#[derive(Debug)]
-pub struct YaoClient {
-    span: &'static str,
-    group: SchnorrGroup,
-    circuit: Circuit,
-    width: usize,
-    extra: Vec<bool>,
-    state: Option<yao2pc::YaoClientState>,
-    out: Option<Vec<bool>>,
-}
-
-impl YaoClient {
-    /// A client evaluating `circuit` on its `width`-bit shares, timed
-    /// under `span`.
-    pub fn new(span: &'static str, group: SchnorrGroup, circuit: Circuit, width: usize) -> Self {
-        YaoClient {
-            span,
-            group,
-            circuit,
-            width,
-            extra: Vec::new(),
-            state: None,
-            out: None,
-        }
-    }
-
-    /// The same client with `extra` private input bits after its shares.
-    pub fn with_extra(self, extra: Vec<bool>) -> Self {
-        YaoClient { extra, ..self }
-    }
-
-    /// The circuit's output bits, once the session is done.
-    pub fn output(&self) -> Option<&[bool]> {
-        self.out.as_deref()
-    }
-}
-
-impl SharePhase for YaoClient {
-    fn exchange(&self) -> Exchange {
-        yao_exchange(self.span)
-    }
-}
-
-impl ShareClient for YaoClient {
-    fn query<R: RandomSource>(
-        &mut self,
-        shares: &[u64],
-        rng: &mut R,
-    ) -> Result<Vec<u8>, ProtocolError> {
-        let mut bits: Vec<bool> = shares
-            .iter()
-            .flat_map(|&b| to_bits(b, self.width))
-            .collect();
-        bits.extend_from_slice(&self.extra);
-        let (q, state) = yao2pc::client_query(&self.group, &bits, rng);
-        self.state = Some(state);
-        Ok(q.to_bytes())
-    }
-
-    fn absorb(&mut self, reply: &[u8]) -> Result<(), ProtocolError> {
-        let reply = yao2pc::YaoReply::from_bytes(reply)?;
-        let state = self.state.as_ref().expect("query precedes the reply");
-        self.out = Some(yao2pc::client_evaluate(
-            &self.group,
-            &self.circuit,
-            state,
-            &reply,
-        )?);
-        Ok(())
-    }
-
-    /// The (first 64) output bits as a little-endian integer.
-    fn digest(&self) -> Option<u64> {
-        let out = self.out.as_ref()?;
-        Some(yao2pc::from_bits(&out[..out.len().min(64)]))
-    }
-}
-
-/// Server half of Yao's protocol on shares: garbles `circuit` with its
-/// `width`-bit share bits as the garbler's inputs.
-#[derive(Debug)]
-pub struct YaoServer {
-    span: &'static str,
-    group: SchnorrGroup,
-    circuit: Circuit,
-    width: usize,
-}
-
-impl YaoServer {
-    /// A garbler of `circuit` on `width`-bit shares, timed under `span`.
-    pub fn new(span: &'static str, group: SchnorrGroup, circuit: Circuit, width: usize) -> Self {
-        YaoServer {
-            span,
-            group,
-            circuit,
-            width,
-        }
-    }
-}
-
-impl SharePhase for YaoServer {
-    fn exchange(&self) -> Exchange {
-        yao_exchange(self.span)
-    }
-}
-
-impl ShareServer for YaoServer {
-    fn answer<R: RandomSource>(
-        &mut self,
-        shares: &[u64],
-        query: &[u8],
-        rng: &mut R,
-    ) -> Result<Vec<u8>, ProtocolError> {
-        let query = yao2pc::YaoQuery::from_bytes(query)?;
-        let bits: Vec<bool> = shares
-            .iter()
-            .flat_map(|&a| to_bits(a, self.width))
-            .collect();
-        Ok(yao2pc::server_reply(&self.group, &self.circuit, &bits, &query, rng)?.to_bytes())
-    }
-}
-
-/// Pumps a Yao phase on shares both parties already hold; returns the
-/// output bits.
-pub(crate) fn pump_yao<R: RandomSource + ?Sized>(
-    t: &mut dyn Channel,
-    client: YaoClient,
-    server: YaoServer,
-    shares: &SharesModP,
-    rng: &mut R,
-) -> Result<Vec<bool>, ProtocolError> {
-    let rng = SharedRng::new(rng);
-    let mut client = RoundClient::new(OnShares::new(client, shares.client.clone(), &rng));
-    let server = OnShares::new(server, shares.server.clone(), &rng);
-    pump(t, &mut client, &mut [RoundServer::new(0, server)])?;
-    let out = client.inner().phase().output();
-    Ok(out.expect("pump finished the session").to_vec())
-}
+use spfe_mpc::yao2pc::{self, YaoClient, YaoServer};
+use spfe_transport::{pump, Channel, ProtocolError, RoundClient, RoundServer};
 
 /// Yao MPC phase: evaluates the statistic on mod-`p` shares.
 ///
@@ -200,7 +49,11 @@ pub fn yao_phase<R: RandomSource + ?Sized>(
         stat.share_circuit(m, shares.p),
         shares.p,
     );
-    let out = pump_yao(t, client, server, shares, rng)?;
+    let (client, server) = (
+        (client, shares.client.clone()),
+        (server, shares.server.clone()),
+    );
+    let out = yao2pc::run(t, client, server, rng)?;
     Ok(stat.decode_bits(&out, m, shares.p))
 }
 

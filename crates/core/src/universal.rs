@@ -13,12 +13,12 @@
 
 use crate::input_select::SharesModP;
 use crate::statistic::Statistic;
-use crate::two_phase::{pump_yao, yao_parties, YaoClient, YaoServer};
+use crate::two_phase::yao_parties;
 use spfe_circuits::boolean::{Circuit, CircuitBuilder, WireId};
 use spfe_circuits::builders::bits_for;
 use spfe_crypto::SchnorrGroup;
 use spfe_math::RandomSource;
-use spfe_mpc::yao2pc::{self, to_bits};
+use spfe_mpc::yao2pc::{self, to_bits, YaoClient, YaoServer};
 use spfe_transport::{Channel, ProtocolError};
 
 /// Builds the universal circuit for a menu of statistics over `m` shared
@@ -164,9 +164,11 @@ pub fn universal_yao_phase<R: RandomSource + ?Sized>(
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
     let (client, server) = universal_parties(group, menu, choice, shares.server.len(), shares.p);
-    Ok(yao2pc::from_bits(&pump_yao(
-        t, client, server, shares, rng,
-    )?))
+    let (client, server) = (
+        (client, shares.client.clone()),
+        (server, shares.server.clone()),
+    );
+    Ok(yao2pc::from_bits(&yao2pc::run(t, client, server, rng)?))
 }
 
 /// The two halves of the universal phase over `m` shares mod `p`: the

@@ -8,6 +8,8 @@
 //! * [`psm`] — private simultaneous messages protocols of §3.2: the sum
 //!   PSM of Example 1, the computational Yao-based PSM \[23, 46\], and the
 //!   perfectly secure branching-program PSM of Ishai–Kushilevitz \[30\];
+//! * [`phase`] — one-exchange phases on words each party already holds
+//!   (the second half of the composite SPFE protocols);
 //! * [`arith_mpc`] — the §3.3.4 light-weight protocol for arithmetic
 //!   circuits over homomorphic encryption (rounds ∝ multiplicative depth).
 
@@ -16,6 +18,7 @@
 
 pub mod arith_mpc;
 pub mod garble;
+pub mod phase;
 pub mod psm;
 pub mod yao2pc;
 

@@ -12,11 +12,12 @@
 //! of ≤ m positions it learns).
 
 use crate::garble::{self, GarbledCircuit, Label};
+use crate::phase::{pump_on, ShareClient, SharePhase, ShareServer};
 use spfe_circuits::boolean::Circuit;
 use spfe_crypto::SchnorrGroup;
 use spfe_math::RandomSource;
-use spfe_ot::{ot2, ot_n};
-use spfe_transport::{Channel, ChannelExt, ProtocolError, Reader, Wire, WireError};
+use spfe_ot::ot2;
+use spfe_transport::{Channel, Exchange, ProtocolError, Reader, Wire, WireError};
 
 /// Domain label for the deterministic OT setup.
 const OT_LABEL: &[u8] = b"spfe-yao2pc-input-ot";
@@ -164,25 +165,140 @@ pub fn client_evaluate(
     Ok(garble::evaluate(circuit, &reply.garbled, &labels))
 }
 
-/// Runs the full 1-round protocol over a metered channel; returns the
-/// output bits (known to the client).
+/// The protocol's exchange under the span `span`: the client's OT
+/// queries up, the garbled circuit with its transfers down.
+pub const fn exchange(span: &'static str) -> Exchange {
+    Exchange::new(span, "yao-query", "yao-reply", "server-eval")
+}
+
+/// Client half of the protocol: evaluates the circuit on its input
+/// words, each packed into `width` bits, followed by any extra private
+/// bits.
+#[derive(Debug)]
+pub struct YaoClient {
+    span: &'static str,
+    group: SchnorrGroup,
+    circuit: Circuit,
+    width: usize,
+    extra: Vec<bool>,
+    state: Option<YaoClientState>,
+    out: Option<Vec<bool>>,
+}
+
+impl YaoClient {
+    /// A client evaluating `circuit` on `width`-bit words, timed under
+    /// `span`.
+    pub fn new(span: &'static str, group: SchnorrGroup, circuit: Circuit, width: usize) -> Self {
+        YaoClient {
+            span,
+            group,
+            circuit,
+            width,
+            extra: Vec::new(),
+            state: None,
+            out: None,
+        }
+    }
+
+    /// The same client with `extra` private input bits after its words.
+    pub fn with_extra(self, extra: Vec<bool>) -> Self {
+        YaoClient { extra, ..self }
+    }
+
+    /// The circuit's output bits, once the session is done.
+    pub fn output(&self) -> Option<&[bool]> {
+        self.out.as_deref()
+    }
+}
+
+impl SharePhase for YaoClient {
+    fn exchange(&self) -> Exchange {
+        exchange(self.span)
+    }
+}
+
+impl ShareClient for YaoClient {
+    fn query<R: RandomSource>(
+        &mut self,
+        words: &[u64],
+        rng: &mut R,
+    ) -> Result<Vec<u8>, ProtocolError> {
+        let mut bits: Vec<bool> = words.iter().flat_map(|&w| to_bits(w, self.width)).collect();
+        bits.extend_from_slice(&self.extra);
+        let (q, state) = client_query(&self.group, &bits, rng);
+        self.state = Some(state);
+        Ok(q.to_bytes())
+    }
+
+    fn absorb(&mut self, reply: &[u8]) -> Result<(), ProtocolError> {
+        let reply = YaoReply::from_bytes(reply)?;
+        let state = self.state.as_ref().expect("query precedes the reply");
+        self.out = Some(client_evaluate(&self.group, &self.circuit, state, &reply)?);
+        Ok(())
+    }
+
+    /// The (first 64) output bits as a little-endian integer.
+    fn digest(&self) -> Option<u64> {
+        let out = self.out.as_ref()?;
+        Some(from_bits(&out[..out.len().min(64)]))
+    }
+}
+
+/// Server half of the protocol: garbles the circuit with its input
+/// words, each packed into `width` bits, as the garbler's inputs.
+#[derive(Debug)]
+pub struct YaoServer {
+    span: &'static str,
+    group: SchnorrGroup,
+    circuit: Circuit,
+    width: usize,
+}
+
+impl YaoServer {
+    /// A garbler of `circuit` on `width`-bit words, timed under `span`.
+    pub fn new(span: &'static str, group: SchnorrGroup, circuit: Circuit, width: usize) -> Self {
+        YaoServer {
+            span,
+            group,
+            circuit,
+            width,
+        }
+    }
+}
+
+impl SharePhase for YaoServer {
+    fn exchange(&self) -> Exchange {
+        exchange(self.span)
+    }
+}
+
+impl ShareServer for YaoServer {
+    fn answer<R: RandomSource>(
+        &mut self,
+        words: &[u64],
+        query: &[u8],
+        rng: &mut R,
+    ) -> Result<Vec<u8>, ProtocolError> {
+        let query = YaoQuery::from_bytes(query)?;
+        let bits: Vec<bool> = words.iter().flat_map(|&w| to_bits(w, self.width)).collect();
+        Ok(server_reply(&self.group, &self.circuit, &bits, &query, rng)?.to_bytes())
+    }
+}
+
+/// Runs the 1-round protocol with both parties' input words fixed up
+/// front; returns the output bits (known to the client).
 ///
 /// # Errors
 ///
 /// [`ProtocolError`] on any transport fault or malformed message.
 pub fn run<R: RandomSource + ?Sized>(
     t: &mut dyn Channel,
-    group: &SchnorrGroup,
-    circuit: &Circuit,
-    server_bits: &[bool],
-    client_bits: &[bool],
+    client: (YaoClient, Vec<u64>),
+    server: (YaoServer, Vec<u64>),
     rng: &mut R,
 ) -> Result<Vec<bool>, ProtocolError> {
-    let (q, st) = client_query(group, client_bits, rng);
-    let q = t.client_to_server(0, "yao-query", &q)?;
-    let reply = server_reply(group, circuit, server_bits, &q, rng)?;
-    let reply = t.server_to_client(0, "yao-reply", &reply)?;
-    client_evaluate(group, circuit, &st, &reply)
+    let client = pump_on(t, client, server, rng)?;
+    Ok(client.out.expect("pump finished the session"))
 }
 
 /// Packs a `u64` into `width` little-endian bits.
@@ -202,20 +318,6 @@ pub fn from_bits(bits: &[bool]) -> u64 {
         .fold(0, |acc, (i, &b)| acc | ((b as u64) << i))
 }
 
-/// The shared 1-out-of-n OT wrapper used when the evaluator's input is an
-/// *index* rather than bits (used by tests and the PSM fallbacks).
-pub fn ot_n_labels<R: RandomSource + ?Sized>(
-    group: &SchnorrGroup,
-    items: &[Vec<u8>],
-    index: usize,
-    rng: &mut R,
-) -> Vec<u8> {
-    let setup = ot2::deterministic_setup(group, OT_LABEL);
-    let (q, st) = ot_n::receiver_choose(group, &setup, items.len(), index, rng);
-    let a = ot_n::sender_answer(group, &setup, &q, items, rng);
-    ot_n::receiver_output(group, &st, &a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,17 +330,18 @@ mod tests {
         (SchnorrGroup::generate(96, &mut rng), rng)
     }
 
+    fn parties(group: &SchnorrGroup, c: Circuit, width: usize) -> (YaoClient, YaoServer) {
+        let server = YaoServer::new("yao2pc", group.clone(), c.clone(), width);
+        (YaoClient::new("yao2pc", group.clone(), c, width), server)
+    }
+
     #[test]
     fn computes_sum_of_split_inputs() {
         let (group, mut rng) = setup();
         // Sum of 4 words: server holds 2, client holds 2.
-        let c = sum_circuit(4, 4);
-        let server_vals = [3u64, 9];
-        let client_vals = [14u64, 1];
-        let server_bits: Vec<bool> = server_vals.iter().flat_map(|&v| to_bits(v, 4)).collect();
-        let client_bits: Vec<bool> = client_vals.iter().flat_map(|&v| to_bits(v, 4)).collect();
+        let (c, s) = parties(&group, sum_circuit(4, 4), 4);
         let mut t = Transcript::new(1);
-        let out = run(&mut t, &group, &c, &server_bits, &client_bits, &mut rng).unwrap();
+        let out = run(&mut t, (c, vec![14, 1]), (s, vec![3, 9]), &mut rng).unwrap();
         assert_eq!(from_bits(&out), 27);
         assert_eq!(t.report().half_rounds, 2, "must be one round");
     }
@@ -258,30 +361,33 @@ mod tests {
             .zip(&a_shares)
             .map(|(&x, &a)| (x + p - a) % p)
             .collect();
-        let server_bits: Vec<bool> = a_shares.iter().flat_map(|&v| to_bits(v, w)).collect();
-        let client_bits: Vec<bool> = b_shares.iter().flat_map(|&v| to_bits(v, w)).collect();
+        let (client, server) = parties(&group, c, w);
         let mut t = Transcript::new(1);
-        let out = run(&mut t, &group, &c, &server_bits, &client_bits, &mut rng).unwrap();
+        let out = run(
+            &mut t,
+            (client, b_shares),
+            (server, a_shares.to_vec()),
+            &mut rng,
+        )
+        .unwrap();
         assert_eq!(from_bits(&out), xs.iter().sum::<u64>() % p);
     }
 
     #[test]
     fn all_client_inputs() {
         let (group, mut rng) = setup();
-        let c = sum_circuit(2, 3);
-        let client_bits: Vec<bool> = [5u64, 6].iter().flat_map(|&v| to_bits(v, 3)).collect();
+        let (c, s) = parties(&group, sum_circuit(2, 3), 3);
         let mut t = Transcript::new(1);
-        let out = run(&mut t, &group, &c, &[], &client_bits, &mut rng).unwrap();
+        let out = run(&mut t, (c, vec![5, 6]), (s, vec![]), &mut rng).unwrap();
         assert_eq!(from_bits(&out), 11);
     }
 
     #[test]
     fn all_server_inputs() {
         let (group, mut rng) = setup();
-        let c = sum_circuit(2, 3);
-        let server_bits: Vec<bool> = [5u64, 6].iter().flat_map(|&v| to_bits(v, 3)).collect();
+        let (c, s) = parties(&group, sum_circuit(2, 3), 3);
         let mut t = Transcript::new(1);
-        let out = run(&mut t, &group, &c, &server_bits, &[], &mut rng).unwrap();
+        let out = run(&mut t, (c, vec![]), (s, vec![5, 6]), &mut rng).unwrap();
         assert_eq!(from_bits(&out), 11);
     }
 
@@ -290,18 +396,16 @@ mod tests {
         // Communication = |garbled circuit| (κ·C_f term) + per-client-bit OT
         // (m × SPIR(2,1,κ) term).
         let (group, mut rng) = setup();
-        let c = sum_circuit(4, 4);
-        let client_bits = vec![true; 8];
-        let server_bits = vec![false; 8];
+        let (c, s) = parties(&group, sum_circuit(4, 4), 4);
         let mut t = Transcript::new(1);
-        run(&mut t, &group, &c, &server_bits, &client_bits, &mut rng).unwrap();
+        run(&mut t, (c, vec![15; 2]), (s, vec![0; 2]), &mut rng).unwrap();
         let rep = t.report();
         // The reply dominates (garbled circuit ≫ queries).
         assert!(rep.server_to_client > rep.client_to_server);
         // Doubling the circuit roughly doubles the reply.
-        let c2 = sum_circuit(8, 4);
+        let (c2, s2) = parties(&group, sum_circuit(8, 4), 4);
         let mut t2 = Transcript::new(1);
-        run(&mut t2, &group, &c2, &[false; 16], &[true; 16], &mut rng).unwrap();
+        run(&mut t2, (c2, vec![15; 4]), (s2, vec![0; 4]), &mut rng).unwrap();
         let ratio = t2.report().server_to_client as f64 / rep.server_to_client as f64;
         assert!(ratio > 1.4 && ratio < 3.0, "ratio {ratio}");
     }

@@ -190,15 +190,10 @@ pub fn run_driver(
         label: "net-hello",
         reason: "unknown driver name",
     })?;
-    let mut cores = (d.cores)(0);
+    let mut client = (d.cores)(0).client();
     let stream = connect(addr, deadline)?;
-    let (digest, transcript) = run_core(
-        stream,
-        name,
-        cores.client.as_mut(),
-        d.servers,
-        next_session_id(),
-    )?;
+    let (digest, transcript) =
+        run_core(stream, name, client.as_mut(), d.servers, next_session_id())?;
     Ok(NetRun { digest, transcript })
 }
 

@@ -23,7 +23,7 @@
 //! signal handling, no non-std dependencies.
 
 use crate::client::write_stamped;
-use spfe::harness;
+use spfe::harness::{self, ServerCore};
 use spfe_obs::metrics::{
     epoch_micros, FailureKind, Metrics, MetricsSnapshot, SessionLogRecord, SessionUsage,
 };
@@ -383,7 +383,7 @@ fn serve_connection(
     if config.inject_panic_driver.as_deref() == Some(hello.label.as_str()) {
         panic!("injected session panic (ServerConfig::inject_panic_driver)");
     }
-    let Some(driver) = harness::driver(&hello.label) else {
+    let Some(cores) = harness::cores(&hello.label) else {
         return Err(fail(
             ctx,
             metrics,
@@ -391,7 +391,7 @@ fn serve_connection(
             abort(stream, session, &hello.label, "unknown driver"),
         ));
     };
-    let mut cores = (driver.cores)(0).servers;
+    let mut cores = cores(0).servers();
     let ack = Frame::control(FrameKind::Hello, false, session, &hello.label, Vec::new());
     if let Err(e) = write_frame(stream, &ack, 0, "net-hello") {
         return Err(fail(ctx, metrics, true, e));
@@ -440,7 +440,7 @@ fn stats_session(stream: &mut TcpStream, metrics: &Metrics, first: Frame) -> Ses
 fn compute_session(
     stream: &mut TcpStream,
     session: u64,
-    cores: &mut [Box<dyn SessionCore>],
+    cores: &mut [ServerCore],
     metrics: &Metrics,
     ctx: &Mutex<SessionCtx>,
 ) -> Result<(), SessionFailure> {
@@ -450,7 +450,7 @@ fn compute_session(
 fn serve_cores(
     stream: &mut TcpStream,
     session: u64,
-    cores: &mut [Box<dyn SessionCore>],
+    cores: &mut [ServerCore],
     metrics: &Metrics,
     ctx: &Mutex<SessionCtx>,
 ) -> Result<(), ProtocolError> {

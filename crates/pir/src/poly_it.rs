@@ -17,7 +17,7 @@
 use spfe_circuits::formula::{encode_index, index_bits, selector_eval};
 use spfe_math::{Fp64, Poly, RandomSource, SharedRng};
 use spfe_transport::{
-    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
+    pump_parallel, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
     RoundServer, ServerRounds, Wire, WireError,
 };
 use std::borrow::Cow;
@@ -283,7 +283,7 @@ fn pump_retrieval<R: RandomSource + ?Sized>(
     let mut servers: Vec<_> = (0..params.num_servers())
         .map(|h| RoundServer::new(h, PolyItServer::new(h, *params, db, blind.clone())))
         .collect();
-    pump(t, &mut client, &mut servers)
+    pump_parallel(t, &mut client, &mut servers)
 }
 
 /// Runs the full protocol over a metered channel (plain PIR).

@@ -23,7 +23,7 @@
 //! all variants: the wire shape must not depend on what the protocol is
 //! hiding.
 
-use spfe_circuits::builders::sum_circuit;
+use spfe_circuits::builders::{bits_for, sum_circuit};
 use spfe_core::database::reference;
 use spfe_core::input_select::{Select1Client, Select1Server, Select1Then};
 use spfe_core::multiserver::{MsClient, MsFunction, MsServer, MultiServerParams};
@@ -31,11 +31,11 @@ use spfe_core::psm_spfe::{YaoPsmClient, YaoPsmServer};
 use spfe_core::stats::{
     FrequencyClient, FrequencyServer, WeightedSumClient, WeightedSumServer, FREQUENCY,
 };
-use spfe_core::two_phase::yao_parties;
 use spfe_core::universal::universal_parties;
 use spfe_core::Statistic;
 use spfe_crypto::{ChaChaRng, HomomorphicScheme, Paillier, PaillierPk, PaillierSk, SchnorrGroup};
 use spfe_math::Fp64;
+use spfe_mpc::yao2pc::{YaoClient, YaoServer};
 use spfe_pir::batched::{BatchedClient, BatchedServer};
 use spfe_pir::hom_pir::{HomPirClient, HomPirServer};
 use spfe_pir::poly_it::{PolyItClient, PolyItParams, PolyItServer};
@@ -43,8 +43,8 @@ use spfe_pir::recursive::{RecursiveClient, RecursiveServer};
 use spfe_pir::spir::{SpirClient, SpirParams, SpirServer};
 use spfe_pir::xor2::{Xor2Client, Xor2Server};
 use spfe_transport::{
-    pump, Channel, ClientCore, ClientRounds, FaultPlan, FaultyChannel, ProtocolError, RoundClient,
-    RoundServer, ServerRounds, SessionCore,
+    pump_parallel, Channel, ClientCore, ClientRounds, FaultPlan, FaultyChannel, ProtocolError,
+    RoundClient, RoundServer, ServerRounds, SessionCore,
 };
 use std::sync::OnceLock;
 
@@ -140,13 +140,16 @@ pub type DriverFn = Box<dyn Fn(&mut dyn Channel) -> Result<u64, ProtocolError> +
 pub type VariantFn =
     Box<dyn Fn(&mut dyn Channel, usize) -> Result<u64, ProtocolError> + Send + Sync>;
 
-/// One driver's client core and server cores, built for one secret
-/// variant.
+/// A built server core: each one is an independent party, so the
+/// in-memory runs may evaluate them side by side.
+pub type ServerCore = Box<dyn SessionCore + Send>;
+
+/// One driver's client core and server cores for one secret variant,
+/// each half built only when asked for: a networked party builds only
+/// its own.
 pub struct Cores {
-    /// The client state machine.
-    pub client: Box<dyn ClientCore>,
-    /// One state machine per logical server.
-    pub servers: Vec<Box<dyn SessionCore>>,
+    client: Box<dyn FnOnce() -> Box<dyn ClientCore>>,
+    servers: Box<dyn FnOnce() -> Vec<ServerCore>>,
 }
 
 /// Builds a driver's [`Cores`] under secret variant `v`.
@@ -175,18 +178,40 @@ pub struct Driver {
 }
 
 impl Cores {
-    /// A client core against one server core per entry of `servers`.
-    fn new<S: ServerRounds + 'static>(
-        client: impl ClientRounds + 'static,
-        servers: impl IntoIterator<Item = S>,
-    ) -> Cores {
-        let servers = servers.into_iter().enumerate();
+    /// A client core against one server core per item `servers` yields.
+    fn new<C, I>(
+        client: impl FnOnce() -> C + 'static,
+        servers: impl FnOnce() -> I + 'static,
+    ) -> Cores
+    where
+        C: ClientRounds + 'static,
+        I: IntoIterator,
+        I::Item: ServerRounds + Send + 'static,
+    {
         Cores {
-            client: Box::new(RoundClient::new(client)),
-            servers: servers
-                .map(|(i, s)| Box::new(RoundServer::new(i, s)) as Box<dyn SessionCore>)
-                .collect(),
+            client: Box::new(|| Box::new(RoundClient::new(client()))),
+            servers: Box::new(|| {
+                let servers = servers().into_iter().enumerate();
+                servers
+                    .map(|(i, s)| Box::new(RoundServer::new(i, s)) as ServerCore)
+                    .collect()
+            }),
         }
+    }
+
+    /// Builds the client half only.
+    pub fn client(self) -> Box<dyn ClientCore> {
+        (self.client)()
+    }
+
+    /// Builds the server halves only.
+    pub fn servers(self) -> Vec<ServerCore> {
+        (self.servers)()
+    }
+
+    /// Builds both halves.
+    pub fn both(self) -> (Box<dyn ClientCore>, Vec<ServerCore>) {
+        ((self.client)(), (self.servers)())
     }
 }
 
@@ -200,6 +225,11 @@ fn server_rng(seed: u64, stream: Stream) -> ChaChaRng {
     ChaChaRng::from_u64_seed(seed << 8 | stream as u64)
 }
 
+/// The server's pad stream for the driver seeded `seed`.
+fn pads(seed: u64) -> ChaChaRng {
+    server_rng(seed, Stream::Pads)
+}
+
 /// The independent randomness streams a server draws from.
 #[derive(Clone, Copy)]
 enum Stream {
@@ -211,8 +241,10 @@ enum Stream {
 
 /// xor2 variant `v`: two-server XOR PIR; the record index is the secret.
 fn xor2_cores(v: usize) -> Cores {
-    let c = Xor2Client::new(16, idx16(v, [5, 3, 12]), client_rng(0xA0));
-    Cores::new(c, (0..2).map(|_| Xor2Server::new(xor_db_v(v))))
+    Cores::new(
+        move || Xor2Client::new(16, idx16(v, [5, 3, 12]), client_rng(0xA0)),
+        move || (0..2).map(move |_| Xor2Server::new(xor_db_v(v))),
+    )
 }
 
 fn expect_xor2(v: usize) -> u64 {
@@ -225,8 +257,10 @@ fn expect_xor2(v: usize) -> u64 {
 /// hom_pir variant `v`: √n homomorphic PIR; index and db are the secrets.
 fn hom_pir_cores(v: usize) -> Cores {
     let (pk, sk) = (&fx().pk, &fx().sk);
-    let c = HomPirClient::new(pk, sk, 16, idx16(v, [9, 0, 15]), client_rng(0xA1));
-    Cores::new(c, [HomPirServer::new(pk, db16_v(v))])
+    Cores::new(
+        move || HomPirClient::new(pk, sk, 16, idx16(v, [9, 0, 15]), client_rng(0xA1)),
+        move || [HomPirServer::new(pk, db16_v(v))],
+    )
 }
 
 fn expect_hom_pir(v: usize) -> u64 {
@@ -236,8 +270,10 @@ fn expect_hom_pir(v: usize) -> u64 {
 /// recursive variant `v`: depth-2 recursive PIR on the 27-item db.
 fn recursive_cores(v: usize) -> Cores {
     let (pk, sk) = (&fx().pk, &fx().sk);
-    let c = RecursiveClient::new(pk, sk, 27, [13, 1, 26][v], client_rng(0xA2));
-    Cores::new(c, [RecursiveServer::new(pk, db27_v(v))])
+    Cores::new(
+        move || RecursiveClient::new(pk, sk, 27, [13, 1, 26][v], client_rng(0xA2)),
+        move || [RecursiveServer::new(pk, db27_v(v))],
+    )
 }
 
 fn expect_recursive(v: usize) -> u64 {
@@ -246,17 +282,12 @@ fn expect_recursive(v: usize) -> u64 {
 
 /// spir variant `v`: single-server SPIR; index and db are the secrets.
 fn spir_cores(v: usize) -> Cores {
-    let (pk, sk) = (&fx().pk, &fx().sk);
-    let params = SpirParams::new(fx().group.clone(), 16);
-    let c = SpirClient::new(
-        params.clone(),
-        pk,
-        sk,
-        idx16(v, [7, 2, 11]),
-        client_rng(0xA3),
-    );
-    let s = SpirServer::new(params, pk, db16_v(v), server_rng(0xA3, Stream::Pads));
-    Cores::new(c, [s])
+    let (pk, sk, params) = (&fx().pk, &fx().sk, SpirParams::new(fx().group.clone(), 16));
+    let p = params.clone();
+    Cores::new(
+        move || SpirClient::new(p, pk, sk, idx16(v, [7, 2, 11]), client_rng(0xA3)),
+        move || [SpirServer::new(params, pk, db16_v(v), pads(0xA3))],
+    )
 }
 
 fn expect_spir(v: usize) -> u64 {
@@ -268,11 +299,14 @@ const BATCHED_INDICES: [[usize; 4]; NUM_VARIANTS] = [[1, 5, 9, 14], [0, 2, 3, 15
 /// batched variant `v`: cuckoo-batched SPIR; the index *set* is the secret.
 fn batched_cores(v: usize) -> Cores {
     let (g, pk, sk) = (&fx().group, &fx().pk, &fx().sk);
-    let rng = client_rng(0xA4);
-    let c = BatchedClient::new(g.clone(), pk, sk, 16, 1, &BATCHED_INDICES[v], rng);
-    let words: Vec<_> = db16_v(v).into_iter().map(|x| vec![x]).collect();
-    let s = BatchedServer::new(g.clone(), pk, words, server_rng(0xA4, Stream::Pads));
-    Cores::new(c, [s])
+    let indices = &BATCHED_INDICES[v];
+    Cores::new(
+        move || BatchedClient::new(g.clone(), pk, sk, 16, 1, indices, client_rng(0xA4)),
+        move || {
+            let words: Vec<_> = db16_v(v).into_iter().map(|x| vec![x]).collect();
+            [BatchedServer::new(g.clone(), pk, words, pads(0xA4))]
+        },
+    )
 }
 
 fn expect_batched(v: usize) -> u64 {
@@ -282,10 +316,11 @@ fn expect_batched(v: usize) -> u64 {
 
 /// poly_it variant `v`: polynomial-interpolation PIR.
 fn poly_it_cores(v: usize) -> Cores {
-    let params = poly_params();
-    let c = PolyItClient::new(params, idx16(v, [5, 8, 2]), client_rng(0xA5));
-    let server = |h| PolyItServer::new(h, params, db16_v(v), None);
-    Cores::new(c, (0..params.num_servers()).map(server))
+    let (params, k) = (poly_params(), poly_params().num_servers());
+    Cores::new(
+        move || PolyItClient::new(params, idx16(v, [5, 8, 2]), client_rng(0xA5)),
+        move || (0..k).map(move |h| PolyItServer::new(h, params, db16_v(v), None)),
+    )
 }
 
 fn expect_poly_it(v: usize) -> u64 {
@@ -301,10 +336,12 @@ const MS_INDICES: [[usize; 2]; NUM_VARIANTS] = [[3, 10], [0, 15], [6, 7]];
 
 /// multiserver variant `v`: Theorem 2 multi-server SPFE, f = sum.
 fn multiserver_cores(v: usize) -> Cores {
-    let params = ms_params();
-    let c = MsClient::new(params.clone(), &MS_INDICES[v], client_rng(0xA6));
-    let server = |h| MsServer::new(h, params.clone(), db16_v(v), None);
-    Cores::new(c, (0..params.num_servers()).map(server))
+    let (params, k) = (ms_params(), ms_params().num_servers());
+    let p = params.clone();
+    Cores::new(
+        move || MsClient::new(p, &MS_INDICES[v], client_rng(0xA6)),
+        move || (0..k).map(move |h| MsServer::new(h, params.clone(), db16_v(v), None)),
+    )
 }
 
 fn expect_multiserver(v: usize) -> u64 {
@@ -317,32 +354,20 @@ pub fn ms_params() -> MultiServerParams {
     MultiServerParams::new(16, 1, field(), MsFunction::Sum { m: 2 })
 }
 
-type Select1Halves = (
-    Select1Client<'static, PaillierPk, PaillierSk, ChaChaRng>,
-    Select1Server<'static, PaillierPk, ChaChaRng>,
-);
+type Sel1Client = Select1Client<'static, PaillierPk, PaillierSk, ChaChaRng>;
+type Sel1Server = Select1Server<'static, PaillierPk, ChaChaRng>;
 
-/// The two halves of select1 over the 16-item db at driver `seed`.
-fn select1_halves(seed: u64, v: usize, indices: &[usize]) -> Select1Halves {
-    let f = fx();
-    let c = Select1Client::new(
-        &f.group,
-        &f.pk,
-        &f.sk,
-        16,
-        indices,
-        field(),
-        client_rng(seed),
-    );
-    let (pads, shares) = (
-        server_rng(seed, Stream::Pads),
-        server_rng(seed, Stream::Shares),
-    );
-    let m = indices.len();
-    (
-        c,
-        Select1Server::new(&f.group, &f.pk, db16_v(v), field(), m, pads, shares),
-    )
+/// The client half of select1 over the 16-item db at driver `seed`.
+fn select1_client(seed: u64, indices: &[usize]) -> Sel1Client {
+    let (f, rng) = (fx(), client_rng(seed));
+    Select1Client::new(&f.group, &f.pk, &f.sk, 16, indices, field(), rng)
+}
+
+/// The server half of select1 for `m`-item selections from the variant-`v`
+/// db, with its pads and shares drawn from its own streams of `seed`.
+fn select1_server(seed: u64, v: usize, m: usize) -> Sel1Server {
+    let (f, shares) = (fx(), server_rng(seed, Stream::Shares));
+    Select1Server::new(&f.group, &f.pk, db16_v(v), field(), m, pads(seed), shares)
 }
 
 const SELECT1_INDICES: [[usize; 2]; NUM_VARIANTS] = [[2, 7], [1, 14], [0, 9]];
@@ -350,8 +375,10 @@ const SELECT1_INDICES: [[usize; 2]; NUM_VARIANTS] = [[2, 7], [1, 14], [0, 9]];
 /// input_select variant `v`: §3.3.1 input selection into shares; the
 /// client's digest is the sum of its own shares.
 fn select1_cores(v: usize) -> Cores {
-    let (c, s) = select1_halves(0xA7, v, &SELECT1_INDICES[v]);
-    Cores::new(c, [s])
+    Cores::new(
+        move || select1_client(0xA7, &SELECT1_INDICES[v]),
+        move || [select1_server(0xA7, v, 2)],
+    )
 }
 
 /// `Σ (x_{i_j} − a_j) mod p`, replaying the server's share stream.
@@ -367,12 +394,12 @@ const PSM_INDICES: [[usize; 2]; NUM_VARIANTS] = [[2, 11], [5, 6], [0, 13]];
 
 /// psm_spfe variant `v`: PSM-based SPFE over the 2-input sum circuit.
 fn psm_cores(v: usize) -> Cores {
-    let (g, pk, sk) = (&fx().group, &fx().pk, &fx().sk);
-    let circuit = sum_circuit(2, 8);
-    let rng = client_rng(0xA8);
-    let c = YaoPsmClient::new(g, pk, sk, 16, &PSM_INDICES[v], circuit.clone(), 8, rng);
-    let s = YaoPsmServer::new(g, pk, db16_v(v), circuit, 8, server_rng(0xA8, Stream::Pads));
-    Cores::new(c, [s])
+    let (g, pk, sk, circuit) = (&fx().group, &fx().pk, &fx().sk, sum_circuit(2, 8));
+    let (c, rng) = (circuit.clone(), client_rng(0xA8));
+    Cores::new(
+        move || YaoPsmClient::new(g, pk, sk, 16, &PSM_INDICES[v], c, 8, rng),
+        move || [YaoPsmServer::new(g, pk, db16_v(v), circuit, 8, pads(0xA8))],
+    )
 }
 
 fn expect_psm(v: usize) -> u64 {
@@ -384,13 +411,13 @@ const TWO_PHASE_INDICES: [[usize; 3]; NUM_VARIANTS] = [[1, 6, 12], [0, 3, 5], [2
 
 /// two_phase variant `v`: select1 + Yao evaluation of the sum statistic.
 fn two_phase_cores(v: usize) -> Cores {
-    let p = field().modulus();
-    let circuit = Statistic::Sum.share_circuit(3, p);
-    let (yao_client, yao_server) = yao_parties("yao-phase", &fx().group, circuit, p);
-    let (c, s) = select1_halves(0xA9, v, &TWO_PHASE_INDICES[v]);
+    let (g, p) = (&fx().group, field().modulus());
+    let (circuit, w) = (Statistic::Sum.share_circuit(3, p), bits_for(p - 1));
+    let client = YaoClient::new("yao-phase", g.clone(), circuit.clone(), w);
+    let server = YaoServer::new("yao-phase", g.clone(), circuit, w);
     Cores::new(
-        Select1Then::new(c, yao_client),
-        [Select1Then::new(s, yao_server)],
+        move || Select1Then::new(select1_client(0xA9, &TWO_PHASE_INDICES[v]), client),
+        move || [Select1Then::new(select1_server(0xA9, v, 3), server)],
     )
 }
 
@@ -410,11 +437,10 @@ fn universal_menu() -> [Statistic; 2] {
 /// selected menu entry are secrets.
 fn universal_cores(v: usize) -> Cores {
     let (p, choice) = (field().modulus(), UNIVERSAL_SELECTION[v]);
-    let (yao_client, yao_server) = universal_parties(&fx().group, &universal_menu(), choice, 2, p);
-    let (c, s) = select1_halves(0xAA, v, &UNIVERSAL_INDICES[v]);
+    let (client, server) = universal_parties(&fx().group, &universal_menu(), choice, 2, p);
     Cores::new(
-        Select1Then::new(c, yao_client),
-        [Select1Then::new(s, yao_server)],
+        move || Select1Then::new(select1_client(0xAA, &UNIVERSAL_INDICES[v]), client),
+        move || [Select1Then::new(select1_server(0xAA, v, 2), server)],
     )
 }
 
@@ -436,10 +462,19 @@ const WS_WEIGHTS: [[u64; 3]; NUM_VARIANTS] = [[2, 3, 1], [1, 1, 4], [3, 2, 2]];
 fn weighted_sum_cores(v: usize) -> Cores {
     let (g, pk, sk) = (&fx().group, &fx().pk, &fx().sk);
     let (indices, weights, rng) = (&WS_INDICES[v], &WS_WEIGHTS[v], client_rng(0xAB));
-    let c = WeightedSumClient::new(g.clone(), pk, sk, 16, indices, weights, field(), rng);
-    let pads = server_rng(0xAB, Stream::Pads);
-    let s = WeightedSumServer::new(g.clone(), pk, db16_v(v), field(), 3, pads);
-    Cores::new(c, [s])
+    Cores::new(
+        move || WeightedSumClient::new(g.clone(), pk, sk, 16, indices, weights, field(), rng),
+        move || {
+            [WeightedSumServer::new(
+                g.clone(),
+                pk,
+                db16_v(v),
+                field(),
+                3,
+                pads(0xAB),
+            )]
+        },
+    )
 }
 
 fn expect_weighted_sum(v: usize) -> u64 {
@@ -453,12 +488,13 @@ const FREQ_KEYWORD_SLOT: [usize; NUM_VARIANTS] = [5, 2, 9];
 /// frequency variant `v`: §4 frequency counting — indices *and* the
 /// keyword are secrets.
 fn frequency_cores(v: usize) -> Cores {
-    let (pk, sk) = (&fx().pk, &fx().sk);
-    let keyword = db16_v(v)[FREQ_KEYWORD_SLOT[v]];
+    let (pk, sk, keyword) = (&fx().pk, &fx().sk, db16_v(v)[FREQ_KEYWORD_SLOT[v]]);
     let counter = FrequencyClient::new(FREQUENCY, pk, sk, field(), vec![keyword; 3]);
     let blinder = FrequencyServer::new(FREQUENCY, pk, field());
-    let (c, s) = select1_halves(0xAC, v, &FREQ_INDICES[v]);
-    Cores::new(Select1Then::new(c, counter), [Select1Then::new(s, blinder)])
+    Cores::new(
+        move || Select1Then::new(select1_client(0xAC, &FREQ_INDICES[v]), counter),
+        move || [Select1Then::new(select1_server(0xAC, v, 3), blinder)],
+    )
 }
 
 fn expect_frequency(v: usize) -> u64 {
@@ -468,11 +504,28 @@ fn expect_frequency(v: usize) -> u64 {
 
 /// Pumps the cores `cores(v)` over `t`.
 fn pump_cores(t: &mut dyn Channel, cores: CoresFn, v: usize) -> Result<u64, ProtocolError> {
-    let mut cores = cores(v);
-    pump(t, cores.client.as_mut(), &mut cores.servers)
+    let (mut client, mut servers) = cores(v).both();
+    pump_parallel(t, client.as_mut(), &mut servers)
 }
 
-fn row(name: &'static str, servers: usize, cores: CoresFn, expect_variant: ExpectFn) -> Driver {
+/// The table's rows: name, server count, constructor, expected digests.
+const TABLE: [(&str, usize, CoresFn, ExpectFn); 13] = [
+    ("xor2", 2, xor2_cores, expect_xor2),
+    ("hom_pir", 1, hom_pir_cores, expect_hom_pir),
+    ("recursive", 1, recursive_cores, expect_recursive),
+    ("spir", 1, spir_cores, expect_spir),
+    ("batched", 1, batched_cores, expect_batched),
+    ("poly_it", 5, poly_it_cores, expect_poly_it),
+    ("multiserver", 5, multiserver_cores, expect_multiserver),
+    ("input_select", 1, select1_cores, expect_select1),
+    ("psm_spfe", 1, psm_cores, expect_psm),
+    ("two_phase", 1, two_phase_cores, expect_two_phase),
+    ("universal", 1, universal_cores, expect_universal),
+    ("weighted_sum", 1, weighted_sum_cores, expect_weighted_sum),
+    ("frequency", 1, frequency_cores, expect_frequency),
+];
+
+fn row((name, servers, cores, expect_variant): (&'static str, usize, CoresFn, ExpectFn)) -> Driver {
     Driver {
         name,
         servers,
@@ -486,26 +539,18 @@ fn row(name: &'static str, servers: usize, cores: CoresFn, expect_variant: Expec
 
 /// The full driver table, in stable order.
 pub fn drivers() -> Vec<Driver> {
-    vec![
-        row("xor2", 2, xor2_cores, expect_xor2),
-        row("hom_pir", 1, hom_pir_cores, expect_hom_pir),
-        row("recursive", 1, recursive_cores, expect_recursive),
-        row("spir", 1, spir_cores, expect_spir),
-        row("batched", 1, batched_cores, expect_batched),
-        row("poly_it", 5, poly_it_cores, expect_poly_it),
-        row("multiserver", 5, multiserver_cores, expect_multiserver),
-        row("input_select", 1, select1_cores, expect_select1),
-        row("psm_spfe", 1, psm_cores, expect_psm),
-        row("two_phase", 1, two_phase_cores, expect_two_phase),
-        row("universal", 1, universal_cores, expect_universal),
-        row("weighted_sum", 1, weighted_sum_cores, expect_weighted_sum),
-        row("frequency", 1, frequency_cores, expect_frequency),
-    ]
+    TABLE.into_iter().map(row).collect()
 }
 
 /// The driver named `name`, if the table has one.
 pub fn driver(name: &str) -> Option<Driver> {
-    drivers().into_iter().find(|d| d.name == name)
+    TABLE.into_iter().find(|r| r.0 == name).map(row)
+}
+
+/// The constructor of the driver named `name`, if the table has one —
+/// what a networked party needs to build its own half of a session.
+pub fn cores(name: &str) -> Option<CoresFn> {
+    TABLE.into_iter().find(|r| r.0 == name).map(|r| r.2)
 }
 
 /// Runs driver `d` (canonical variant) over a fresh [`FaultyChannel`]
@@ -535,7 +580,7 @@ mod tests {
     #[test]
     fn table_server_counts_match_the_constructed_cores() {
         for d in drivers() {
-            assert_eq!((d.cores)(0).servers.len(), d.servers, "[{}]", d.name);
+            assert_eq!((d.cores)(0).servers().len(), d.servers, "[{}]", d.name);
         }
     }
 }

@@ -30,7 +30,7 @@ pub use frame::{Frame, FrameKind, HEADER_LEN, MAGIC, MAX_LABEL_LEN, MAX_PAYLOAD_
 pub use lamport::Lamport;
 pub use meter::{CommReport, Direction, FlowMeter, MessageRecord, Transcript};
 pub use session::{
-    pump, ClientCore, ClientRounds, Exchange, OutMsg, Queries, RoundClient, RoundServer,
-    ServerRounds, SessionCore, SessionState,
+    pump, pump_parallel, ClientCore, ClientRounds, Exchange, OutMsg, Queries, RoundClient,
+    RoundServer, ServerRounds, SessionCore, SessionState,
 };
 pub use wire::{Reader, Wire, WireError};

@@ -22,12 +22,15 @@
 //! of server cores over any [`Channel`], delivering all client → server
 //! messages of a burst, then all server replies in server order, so the
 //! metered half-round structure — and hence every audit fingerprint — is
-//! the same as over TCP.
+//! the same as over TCP. [`pump_parallel`] does the same with the server
+//! cores of a burst evaluated side by side on the worker pool.
 
 use crate::channel::{deliver_with_retry, Channel};
 use crate::error::ProtocolError;
 use crate::lamport::Lamport;
 use crate::meter::Direction;
+use spfe_math::par::{par_map_cost, CostClass};
+use std::sync::Mutex;
 
 /// Where a session core stands after processing a message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -422,11 +425,30 @@ fn carry(
     Ok(delivered)
 }
 
+/// One server's messages of a burst: its core, its index, the deliveries.
+type Inbox<'a, S> = (&'a mut S, usize, Vec<(&'static str, Vec<u8>)>);
+
+/// Feeds a server core its messages of a burst in order; returns its
+/// replies.
+fn answer<S: SessionCore>(
+    (core, index, msgs): &mut Inbox<'_, S>,
+    half_round: u32,
+) -> Result<Vec<OutMsg>, ProtocolError> {
+    let mut replies = Vec::new();
+    for (label, payload) in msgs.iter() {
+        replies.extend(core.on_message(half_round, *index, label, payload)?.1);
+    }
+    Ok(replies)
+}
+
+/// Per-server replies of one burst, in server order.
+type Answers = Vec<Result<Vec<OutMsg>, ProtocolError>>;
+
 /// Runs a client core against its server cores over any [`Channel`],
-/// phase-synchronized: each burst delivers every client → server message
-/// (feeding the server cores), then every server reply in server order.
-/// Transient transport faults are retried with the same bounded policy as
-/// [`crate::ChannelExt`].
+/// phase-synchronized: each burst delivers every client → server message,
+/// feeds the server cores, then delivers every server reply in server
+/// order. Transient transport faults are retried with the same bounded
+/// policy as [`crate::ChannelExt`].
 ///
 /// # Errors
 ///
@@ -437,6 +459,51 @@ pub fn pump<S: SessionCore>(
     ch: &mut dyn Channel,
     client: &mut dyn ClientCore,
     servers: &mut [S],
+) -> Result<u64, ProtocolError> {
+    drive(
+        ch,
+        client,
+        servers,
+        |inboxes: Vec<Inbox<'_, S>>, half_round| {
+            inboxes
+                .into_iter()
+                .map(|mut b| answer(&mut b, half_round))
+                .collect()
+        },
+    )
+}
+
+/// [`pump`] with the server cores of each burst evaluated on the worker
+/// pool: servers are independent parties, so a `k`-server protocol's
+/// `k` Ω(n) evaluations run side by side. Delivery and metering stay
+/// serial and in order, so the transcript is identical to [`pump`]'s.
+///
+/// # Errors
+///
+/// As [`pump`].
+pub fn pump_parallel<S: SessionCore + Send>(
+    ch: &mut dyn Channel,
+    client: &mut dyn ClientCore,
+    servers: &mut [S],
+) -> Result<u64, ProtocolError> {
+    drive(
+        ch,
+        client,
+        servers,
+        |inboxes: Vec<Inbox<'_, S>>, half_round| {
+            let jobs: Vec<Mutex<Inbox<'_, S>>> = inboxes.into_iter().map(Mutex::new).collect();
+            par_map_cost(CostClass::Heavy, &jobs, |b| {
+                answer(&mut b.lock().expect("one job per inbox"), half_round)
+            })
+        },
+    )
+}
+
+fn drive<S: SessionCore>(
+    ch: &mut dyn Channel,
+    client: &mut dyn ClientCore,
+    servers: &mut [S],
+    mut answer: impl for<'a> FnMut(Vec<Inbox<'a, S>>, u32) -> Answers,
 ) -> Result<u64, ProtocolError> {
     for s in servers.iter_mut() {
         // Server cores may not speak first in this driver family.
@@ -455,8 +522,8 @@ pub fn pump<S: SessionCore>(
     let mut server_clocks = vec![Lamport::new(); servers.len()];
     while !outbox.is_empty() {
         let span = client.span();
-        let mut replies: Vec<OutMsg> = Vec::new();
         half_round += 1;
+        let mut msgs = vec![Vec::new(); servers.len()];
         for m in outbox.drain(..) {
             if !m.client_to_server || m.server >= servers.len() {
                 return Err(ProtocolError::InvalidMessage {
@@ -466,9 +533,15 @@ pub fn pump<S: SessionCore>(
             }
             let clock = &mut server_clocks[m.server];
             let delivered = carry(ch, span, &m, half_round, &mut client_clock, clock)?;
-            let (_, outs) =
-                servers[m.server].on_message(half_round, m.server, m.label, &delivered)?;
-            replies.extend(outs);
+            msgs[m.server].push((m.label, delivered));
+        }
+        let inboxes = (servers.iter_mut().enumerate().zip(msgs))
+            .filter(|(_, msgs)| !msgs.is_empty())
+            .map(|((index, core), msgs)| (core, index, msgs))
+            .collect();
+        let mut replies = Vec::new();
+        for outs in answer(inboxes, half_round) {
+            replies.extend(outs?);
         }
         half_round += 1;
         for m in replies {

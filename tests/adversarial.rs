@@ -22,6 +22,7 @@ mod common;
 use common::*;
 use spfe::core::multiserver;
 use spfe::crypto::ChaChaRng;
+use spfe::pir::spir::{self, SpirParams, SpirQuery};
 use spfe::transport::{
     pump, FaultAction, FaultPlan, FaultyChannel, ProtocolError, SessionCore, Transcript, Wire,
     MAX_ATTEMPTS,
@@ -322,26 +323,26 @@ fn every_server_core_rejects_bad_input_with_a_typed_error() {
     for d in drivers() {
         // The client's opening queries (the client rng is seeded, so an
         // identical client core emits the same bytes in the session).
-        let (_, opening) = (d.cores)(0).client.start().expect("client opens");
-        let mut cores = (d.cores)(0);
+        let (_, opening) = (d.cores)(0).client().start().expect("client opens");
+        let (mut client, mut servers) = (d.cores)(0).both();
         let got = pump(
             &mut Transcript::new(d.servers),
-            cores.client.as_mut(),
-            &mut cores.servers,
+            client.as_mut(),
+            &mut servers,
         );
         assert_eq!(got, Ok(d.expect), "[{}] honest run", d.name);
 
         for q in &opening {
             let (i, label, query) = (q.server, q.label, q.payload.as_slice());
             // The session is over: replaying its opening query is refused.
-            let replay = cores.servers[i].on_message(9, i, label, query);
+            let replay = servers[i].on_message(9, i, label, query);
             assert!(
                 matches!(replay, Err(ProtocolError::InvalidMessage { .. })),
                 "[{} s{i}] replay after the session: {replay:?}",
                 d.name
             );
 
-            let mut fresh = (d.cores)(0).servers;
+            let mut fresh = (d.cores)(0).servers();
             let foreign = fresh[i].on_message(1, i, "no-such-label", query);
             assert!(
                 matches!(foreign, Err(ProtocolError::InvalidMessage { .. })),
@@ -356,4 +357,25 @@ fn every_server_core_rejects_bad_input_with_a_typed_error() {
             );
         }
     }
+
+    // weighted_sum's fallback exchange carries at most one SPIR query per
+    // sampled index (m = 3): a client asking for more is refused before
+    // any scan of the masked database.
+    let d = driver("weighted_sum").unwrap();
+    let (_, opening) = (d.cores)(0).client().start().expect("client opens");
+    let mut server = (d.cores)(0).servers().remove(0);
+    let q = &opening[0];
+    server
+        .on_message(1, 0, q.label, &q.payload)
+        .expect("first exchange");
+    let (f, mut rng) = (fx(), ChaChaRng::from_u64_seed(7));
+    let params = SpirParams::new(f.group.clone(), 16);
+    let oversized: Vec<SpirQuery> = (0..4)
+        .map(|i| spir::client_query(&params, &f.pk, i, &mut rng).0)
+        .collect();
+    let got = server.on_message(3, 0, "wsum-fallback-q", &oversized.to_bytes());
+    assert!(
+        matches!(got, Err(ProtocolError::InvalidMessage { .. })),
+        "oversized fallback batch: {got:?}"
+    );
 }

@@ -65,12 +65,12 @@ fn stalling_server_times_out_the_handshake() {
         std::thread::sleep(Duration::from_secs(6));
         drop(stream);
     });
-    let mut cores = (driver("xor2").unwrap().cores)(0);
+    let mut client = (driver("xor2").unwrap().cores)(0).client();
     let start = Instant::now();
     let err = run_core(
         connect_with_deadline(addr),
         "xor2",
-        cores.client.as_mut(),
+        client.as_mut(),
         2,
         next_session_id(),
     )
@@ -100,12 +100,12 @@ fn stalling_server_times_out_the_handshake() {
 #[test]
 fn stalling_server_times_out_one_deadline_total() {
     let (addr, peer) = mute_after_handshake();
-    let mut cores = (driver("xor2").unwrap().cores)(0);
+    let mut client = (driver("xor2").unwrap().cores)(0).client();
     let start = Instant::now();
     let err = run_core(
         connect_with_deadline(addr),
         "xor2",
-        cores.client.as_mut(),
+        client.as_mut(),
         2,
         next_session_id(),
     )
@@ -167,8 +167,7 @@ fn killed_session_leaves_other_sessions_serving() {
         write_frame(&mut victim, &hello, 0, "net-hello").unwrap();
         let ack = read_frame(&mut victim, 0, "net-hello").unwrap();
         assert_eq!(ack.kind, FrameKind::Hello);
-        let mut cores = (driver("xor2").unwrap().cores)(0);
-        let (_, queries) = cores.client.start().unwrap();
+        let (_, queries) = (driver("xor2").unwrap().cores)(0).client().start().unwrap();
         let q = &queries[0];
         let frame = Frame::msg(true, session, 1, q.server, q.label, q.payload.clone());
         write_frame(&mut victim, &frame, q.server, q.label).unwrap();

@@ -61,8 +61,8 @@ fn pump_core(d: &Driver, plan: FaultPlan) -> (u64, Vec<WireEvent>) {
     let mut digest = 0;
     let trace = captured(|| {
         let mut ch = FaultyChannel::new(d.servers, plan, 0);
-        let mut cores = (d.cores)(0);
-        digest = pump(&mut ch, cores.client.as_mut(), &mut cores.servers).expect("pump run");
+        let (mut client, mut servers) = (d.cores)(0).both();
+        digest = pump(&mut ch, client.as_mut(), &mut servers).expect("pump run");
     });
     (digest, net_events(&trace))
 }
@@ -162,8 +162,8 @@ fn socket_channel_merges_carried_stamps_and_meters_nothing_extra() {
     ]);
     let mut outcome = None;
     let trace = captured(|| {
-        let mut cores = (driver("xor2").unwrap().cores)(0);
-        outcome = Some(run_core(script, "xor2", cores.client.as_mut(), 2, 9).unwrap());
+        let mut client = (driver("xor2").unwrap().cores)(0).client();
+        outcome = Some(run_core(script, "xor2", client.as_mut(), 2, 9).unwrap());
     });
     // Identical answers XOR to the zero item.
     let (digest, transcript) = outcome.unwrap();
