@@ -192,7 +192,10 @@ impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> Select1Client<'
             .states
             .iter()
             .zip(&answers)
-            .map(|(st, a)| Ok(spir::client_decode(&self.params, self.pk, self.sk, st, a)? % self.p))
+            .map(|(st, a)| {
+                let shifted = spir::client_decode(&self.params, self.pk, self.sk, st, a)?;
+                Ok((shifted % self.p + self.p - 1) % self.p)
+            })
             .collect::<Result<_, ProtocolError>>()?;
         self.shares = Some(shares);
         Ok(())
@@ -222,7 +225,7 @@ impl<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> ClientRounds
 }
 
 /// Server half of [`select1`]: per slot, draws its share `a_j` from
-/// `share_rng` and answers the SPIR query against `v_i = x_i − a_j + p`, with
+/// `share_rng` and answers the SPIR query against `v_i = x_i − a_j + 1`, with
 /// pads from `rng`. Ends holding its shares.
 #[derive(Debug)]
 pub struct Select1Server<'a, P, R> {
@@ -274,10 +277,9 @@ impl<'a, P: HomomorphicPk, R: RandomSource> Select1Server<'a, P, R> {
             .map(|q| {
                 let a_j = field.random(&mut self.share_rng);
                 self.shares.push(a_j);
-                // Shifted into [p, 2p): no cell is zero, so the scan costs
+                // Shifted into [1, p]: no cell is zero, so the scan costs
                 // the same whatever share the server drew.
-                let p = field.modulus();
-                let vdb: Vec<u64> = self.db.iter().map(|&x| field.sub(x, a_j) + p).collect();
+                let vdb: Vec<u64> = self.db.iter().map(|&x| field.sub(x, a_j) + 1).collect();
                 spir::server_answer(&self.params, self.pk, &vdb, q, &mut self.rng)
             })
             .collect::<Result<_, _>>()?;

@@ -28,6 +28,12 @@ use spfe_transport::{
 };
 use std::borrow::Cow;
 
+/// Undoes the `+1` shift of a retrieved masked cell (server-controlled,
+/// so any `u64` maps into the field).
+fn unshift(field: Fp64, v: u64) -> u64 {
+    field.sub(field.from_u64(v), 1)
+}
+
 /// Encrypts the blinded functional value `Σ-term + p·(R+1)` so the client
 /// learns exactly the mod-`p` value.
 fn check_capacity<P: HomomorphicPk>(pk: &P, p: u64, m: usize) {
@@ -143,11 +149,11 @@ impl<'a, P: HomomorphicPk, R: RandomSource> WeightedSumServer<'a, P, R> {
         }
     }
 
-    /// The database masked by `P_s`, shifted into `[p, 2p)`: no cell is
+    /// The database masked by `P_s`, shifted into `[1, p]`: no cell is
     /// zero, so the scans cost the same whatever mask the server drew.
     fn masked<'s>(&'s self, s_poly: &'s Poly) -> impl Iterator<Item = u64> + 's {
-        let (field, p) = (self.field, self.field.modulus());
-        (self.db.iter().enumerate()).map(move |(i, &x)| field.add(x, s_poly.eval(i as u64)) + p)
+        let field = self.field;
+        (self.db.iter().enumerate()).map(move |(i, &x)| field.add(x, s_poly.eval(i as u64)) + 1)
     }
 }
 
@@ -255,7 +261,7 @@ impl<'a, P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource> WeightedSumClie
             .iter()
             .zip(&self.weights)
             .fold(0u64, |acc, (v, &w)| {
-                field.add(acc, field.mul(field.from_u64(w), field.from_u64(v[0])))
+                field.add(acc, field.mul(field.from_u64(w), unshift(field, v[0])))
             });
         let func = self.pk.ciphertext_from_bytes(&self.func).ok_or(BAD_FUNC)?;
         let func_val = self.sk.decrypt(&func);
@@ -445,11 +451,11 @@ where
     // Server: two independent masks; the same query answered twice.
     let s1 = Poly::random(m.saturating_sub(1), field, rng);
     let s2 = Poly::random(m.saturating_sub(1), field, rng);
-    // Shifted into [p, 2p), as in weighted_sum: no cell is zero.
+    // Shifted into [1, p], as in weighted_sum: no cell is zero.
     let mask = |base: &[u64], s: &Poly| -> Vec<Vec<u64>> {
         base.iter()
             .enumerate()
-            .map(|(i, &x)| vec![field.add(x, s.eval(i as u64)) + p])
+            .map(|(i, &x)| vec![field.add(x, s.eval(i as u64)) + 1])
             .collect()
     };
     let a1 = batched::server_answer_words(group, pk, &mask(db, &s1), &queries, rng)?;
@@ -470,7 +476,7 @@ where
                   func: &[u8]|
      -> Result<u64, ProtocolError> {
         let retrieved = batched::client_decode_words(pk, sk, &state, answers, 1)?;
-        let masked_sum = (retrieved.iter()).fold(0, |acc, v| field.add(acc, field.from_u64(v[0])));
+        let masked_sum = (retrieved.iter()).fold(0, |acc, v| field.add(acc, unshift(field, v[0])));
         let func_val = sk.decrypt(&pk.ciphertext_from_bytes(func).ok_or(BAD_FUNC)?);
         let mask_sum = func_val.rem(&Nat::from(p)).to_u64().ok_or(BAD_FUNC)?;
         Ok(field.sub(masked_sum, mask_sum))
