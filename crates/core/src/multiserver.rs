@@ -19,8 +19,8 @@ use spfe_circuits::formula::{encode_index, eval_formula_poly, index_bits, select
 use spfe_math::par::{par_map_cost, CostClass};
 use spfe_math::{Fp64, Poly, RandomSource, SharedRng};
 use spfe_transport::{
-    pump_parallel, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, Reader,
-    RoundClient, RoundServer, ServerRounds, Wire, WireError,
+    pump_parallel, Channel, ChannelExt, ClientRounds, Direction, Exchange, ProtocolError, Queries,
+    Reader, RoundClient, RoundServer, ServerRounds, Transcript, Wire, WireError,
 };
 use std::borrow::Cow;
 
@@ -196,6 +196,17 @@ pub fn client_queries<R: RandomSource + ?Sized>(
     indices: &[usize],
     rng: &mut R,
 ) -> Vec<MsQuery> {
+    queries_for(params, indices, params.num_servers(), rng)
+}
+
+/// [`client_queries`] for `k ≥ params.num_servers()` servers: the same
+/// curves, evaluated at more points.
+fn queries_for<R: RandomSource + ?Sized>(
+    params: &MultiServerParams,
+    indices: &[usize],
+    k: usize,
+    rng: &mut R,
+) -> Vec<MsQuery> {
     let m = params.function.arity();
     assert_eq!(indices.len(), m, "index count must match arity");
     // One random degree-t curve per coordinate of each encoded index.
@@ -209,7 +220,7 @@ pub fn client_queries<R: RandomSource + ?Sized>(
                 .collect()
         })
         .collect();
-    eval_curves_at_servers(params, &curves, params.num_servers())
+    eval_curves_at_servers(params, &curves, k)
 }
 
 /// Evaluates every coordinate curve at each server's point — rng-free, so
@@ -337,7 +348,8 @@ fn diagnose_faults(
 
 /// Runs the protocol with `2·max_faults` extra servers and robust
 /// reconstruction: up to `max_faults` servers may answer arbitrarily
-/// (simulated by `corrupt`, which may tamper with any answer it is given).
+/// (simulated by `corrupt`, which may tamper with any answer it is given,
+/// once per delivery attempt).
 ///
 /// # Errors
 ///
@@ -354,7 +366,7 @@ pub fn run_robust<R, C>(
     db: &[u64],
     indices: &[usize],
     max_faults: usize,
-    mut corrupt: C,
+    corrupt: C,
     rng: &mut R,
 ) -> Result<u64, ProtocolError>
 where
@@ -363,41 +375,54 @@ where
 {
     let k = params.num_servers() + 2 * max_faults;
     assert_eq!(t.num_servers(), k, "need k + 2t' servers");
-    let _proto = spfe_obs::span("multiserver-robust");
-    let m = params.function.arity();
-    assert_eq!(indices.len(), m);
-    // Queries for all k servers (same curves, more evaluation points).
-    let curves: Vec<Vec<Poly>> = indices
-        .iter()
-        .map(|&i| {
-            encode_index(i, params.ell)
-                .into_iter()
-                .map(|bit| Poly::random_with_constant(bit, params.t, params.field, rng))
-                .collect()
-        })
+    let rng = SharedRng::new(rng);
+    let client = MsClient::new(params.clone(), indices, &rng).robust(max_faults);
+    let mut servers: Vec<_> = (0..k)
+        .map(|h| RoundServer::new(h, MsServer::new(h, params.clone(), db, None)))
         .collect();
-    let queries = eval_curves_at_servers(params, &curves, k);
-    let received: Vec<MsQuery> = queries
-        .iter()
-        .enumerate()
-        .map(|(h, q)| t.client_to_server(h, "ms-query", q))
-        .collect::<Result<_, _>>()?;
-    // Honest evaluation is rng-free → pool (one item = a full Ω(n)
-    // server evaluation, so Heavy); corruption and metering stay serial
-    // (the corruptor is FnMut and may be stateful).
-    let honest: Vec<u64> = par_map_cost(CostClass::Heavy, &received, |q| {
-        server_answer(params, db, q, None)
-    })
-    .into_iter()
-    .collect::<Result<_, _>>()?;
-    let answers: Vec<u64> = honest
-        .iter()
-        .enumerate()
-        .map(|(h, &a)| t.server_to_client(h, "ms-answer", &corrupt(h, a)))
-        .collect::<Result<_, _>>()?;
-    match client_reconstruct_robust(params, &answers, max_faults) {
-        Some(v) => Ok(v),
-        None => Err(diagnose_faults(params, &answers, max_faults)),
+    let mut t = Byzantine { inner: t, corrupt };
+    pump_parallel(&mut t, &mut RoundClient::new(client), &mut servers)
+}
+
+/// A channel on which `corrupt` rewrites every server answer before it
+/// is delivered: the lying servers of [`run_robust`].
+struct Byzantine<'t, C> {
+    inner: &'t mut dyn Channel,
+    corrupt: C,
+}
+
+impl<C: FnMut(usize, u64) -> u64> Channel for Byzantine<'_, C> {
+    fn num_servers(&self) -> usize {
+        self.inner.num_servers()
+    }
+
+    fn begin_round(&mut self) {
+        self.inner.begin_round();
+    }
+
+    fn transfer_raw(
+        &mut self,
+        dir: Direction,
+        label: &'static str,
+        bytes: &[u8],
+    ) -> Result<Vec<u8>, ProtocolError> {
+        let Direction::ServerToClient(h) = dir else {
+            return self.inner.transfer_raw(dir, label, bytes);
+        };
+        let answer = (self.corrupt)(h, u64::from_bytes(bytes)?);
+        self.inner.transfer_raw(dir, label, &answer.to_bytes())
+    }
+
+    fn transcript(&self) -> &Transcript {
+        self.inner.transcript()
+    }
+
+    fn heal_server(&mut self, server: usize) -> Result<(), ProtocolError> {
+        self.inner.heal_server(server)
+    }
+
+    fn clock(&self) -> u64 {
+        self.inner.clock()
     }
 }
 
@@ -456,6 +481,7 @@ impl ServerRounds for MsServer<'_> {
 pub struct MsClient<R> {
     params: MultiServerParams,
     indices: Vec<usize>,
+    max_faults: usize,
     rng: R,
     result: Option<u64>,
 }
@@ -471,9 +497,16 @@ impl<R: RandomSource> MsClient<R> {
         MsClient {
             params,
             indices: indices.to_vec(),
+            max_faults: 0,
             rng,
             result: None,
         }
+    }
+
+    /// The same client against `2·max_faults` extra servers, any
+    /// `max_faults` of which may lie: robust reconstruction.
+    pub fn robust(self, max_faults: usize) -> Self {
+        MsClient { max_faults, ..self }
     }
 }
 
@@ -483,7 +516,8 @@ impl<R: RandomSource> ClientRounds for MsClient<R> {
     }
 
     fn queries(&mut self, _step: usize) -> Result<Option<Queries>, ProtocolError> {
-        let queries = client_queries(&self.params, &self.indices, &mut self.rng);
+        let k = self.params.num_servers() + 2 * self.max_faults;
+        let queries = queries_for(&self.params, &self.indices, k, &mut self.rng);
         Ok(Some(
             queries.iter().map(Wire::to_bytes).enumerate().collect(),
         ))
@@ -494,7 +528,12 @@ impl<R: RandomSource> ClientRounds for MsClient<R> {
             .iter()
             .map(|r| u64::from_bytes(r))
             .collect::<Result<_, _>>()?;
-        self.result = Some(client_reconstruct(&self.params, &answers));
+        let (params, t) = (&self.params, self.max_faults);
+        self.result = Some(match t {
+            0 => client_reconstruct(params, &answers),
+            _ => client_reconstruct_robust(params, &answers, t)
+                .ok_or_else(|| diagnose_faults(params, &answers, t))?,
+        });
         Ok(())
     }
 
