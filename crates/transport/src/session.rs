@@ -448,7 +448,10 @@ type Answers = Vec<Result<Vec<OutMsg>, ProtocolError>>;
 /// phase-synchronized: each burst delivers every client → server message,
 /// feeds the server cores, then delivers every server reply in server
 /// order. Transient transport faults are retried with the same bounded
-/// policy as [`crate::ChannelExt`].
+/// policy as [`crate::ChannelExt`]. The server cores run one after
+/// another, so they need not be `Send` (e.g. when they share the
+/// caller's rng with the client); [`pump_parallel`] runs `Send` ones on
+/// the worker pool.
 ///
 /// # Errors
 ///
@@ -493,7 +496,10 @@ pub fn pump_parallel<S: SessionCore + Send>(
         |inboxes: Vec<Inbox<'_, S>>, half_round| {
             let jobs: Vec<Mutex<Inbox<'_, S>>> = inboxes.into_iter().map(Mutex::new).collect();
             par_map_cost(CostClass::Heavy, &jobs, |b| {
-                answer(&mut b.lock().expect("one job per inbox"), half_round)
+                answer(
+                    &mut b.lock().expect("each inbox is locked once, by its own job"),
+                    half_round,
+                )
             })
         },
     )
