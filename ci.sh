@@ -24,6 +24,10 @@ cargo clippy "${OFFLINE[@]}" --release --workspace --all-targets -- -D warnings
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> cargo doc (-D warnings)"
+# Broken intra-doc links (e.g. to deleted or private items) fail the run.
+RUSTDOCFLAGS="-D warnings" cargo doc "${OFFLINE[@]}" --no-deps --workspace
+
 echo "==> cargo build --no-default-features (obs compiled out)"
 cargo build "${OFFLINE[@]}" --release --workspace --no-default-features
 

@@ -26,8 +26,8 @@ use spfe_mpc::phase::{ShareClient, SharePhase, ShareServer};
 use spfe_pir::spir::{self, SpirParams, SpirQuery};
 use spfe_pir::{batched, words};
 use spfe_transport::{
-    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, RoundClient,
-    RoundServer, ServerRounds, Wire,
+    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, RoundServer,
+    ServerRounds, Wire,
 };
 use std::borrow::Cow;
 
@@ -112,19 +112,14 @@ where
     );
     assert!(indices.iter().all(|&i| i < db.len()), "index out of range");
     let rng = SharedRng::new(rng);
-    let client = Select1Client::new(group, pk, sk, db.len(), indices, field, &rng);
-    let mut client = RoundClient::new(client);
+    let mut client = Select1Client::new(group, pk, sk, db.len(), indices, field, &rng);
     let server = Select1Server::new(group, pk, db, field, indices.len(), &rng, &rng);
-    let mut servers = [RoundServer::new(0, server)];
+    let mut servers = [RoundServer::new(server)];
     pump(t, &mut client, &mut servers)?;
     Ok(SharesModP {
         p: field.modulus(),
         server: servers[0].inner().shares.clone(),
-        client: client
-            .inner()
-            .shares
-            .clone()
-            .expect("pump finished the session"),
+        client: client.shares.expect("pump finished the session"),
     })
 }
 
@@ -382,7 +377,7 @@ where
     }
 }
 
-/// §3.3.1 written against the paper's SPIR *black box* ([`SpirOracle`]):
+/// §3.3.1 written against the paper's SPIR *black box* ([`spfe_pir::SpirOracle`]):
 /// the same protocol costed under any SPIR instantiation — including the
 /// idealized one — which decomposes the SPFE cost into "the SPIR term"
 /// and "everything else", as Table 1 does symbolically.

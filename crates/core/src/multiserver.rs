@@ -20,7 +20,7 @@ use spfe_math::par::{par_map_cost, CostClass};
 use spfe_math::{Fp64, Poly, RandomSource, SharedRng};
 use spfe_transport::{
     pump_parallel, Channel, ChannelExt, ClientRounds, Direction, Exchange, ProtocolError, Queries,
-    Reader, RoundClient, RoundServer, ServerRounds, Transcript, Wire, WireError,
+    Reader, RoundServer, ServerRounds, Transcript, Wire, WireError,
 };
 use std::borrow::Cow;
 
@@ -376,12 +376,12 @@ where
     let k = params.num_servers() + 2 * max_faults;
     assert_eq!(t.num_servers(), k, "need k + 2t' servers");
     let rng = SharedRng::new(rng);
-    let client = MsClient::new(params.clone(), indices, &rng).robust(max_faults);
+    let mut client = MsClient::new(params.clone(), indices, &rng).robust(max_faults);
     let mut servers: Vec<_> = (0..k)
-        .map(|h| RoundServer::new(h, MsServer::new(h, params.clone(), db, None)))
+        .map(|h| RoundServer::new(MsServer::new(h, params.clone(), db, None)))
         .collect();
     let mut t = Byzantine { inner: t, corrupt };
-    pump_parallel(&mut t, &mut RoundClient::new(client), &mut servers)
+    pump_parallel(&mut t, &mut client, &mut servers)
 }
 
 /// A channel on which `corrupt` rewrites every server answer before it
@@ -567,9 +567,9 @@ pub fn run<R: RandomSource + ?Sized>(
     let blind = shared_seed
         .map(|seed| blinding_poly(params, &mut spfe_crypto::ChaChaRng::from_u64_seed(seed)));
     let rng = SharedRng::new(rng);
-    let mut client = RoundClient::new(MsClient::new(params.clone(), indices, &rng));
+    let mut client = MsClient::new(params.clone(), indices, &rng);
     let mut servers: Vec<_> = (0..params.num_servers())
-        .map(|h| RoundServer::new(h, MsServer::new(h, params.clone(), db, blind.clone())))
+        .map(|h| RoundServer::new(MsServer::new(h, params.clone(), db, blind.clone())))
         .collect();
     pump_parallel(t, &mut client, &mut servers)
 }

@@ -33,8 +33,8 @@ use spfe_mpc::psm;
 use spfe_pir::poly_it::{self, PolyItParams};
 use spfe_pir::spir::{self, SpirParams, SpirQuery, SpirWordsAnswer};
 use spfe_transport::{
-    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, RoundClient,
-    RoundServer, ServerRounds, Wire,
+    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, RoundServer,
+    ServerRounds, Wire,
 };
 use std::borrow::Cow;
 
@@ -270,10 +270,9 @@ where
     );
     let rng = SharedRng::new(rng);
     let n = db.len();
-    let client = YaoPsmClient::new(group, pk, sk, n, indices, circuit.clone(), item_bits, &rng);
-    let mut client = RoundClient::new(client);
+    let mut client = YaoPsmClient::new(group, pk, sk, n, indices, circuit.clone(), item_bits, &rng);
     let server = YaoPsmServer::new(group, pk, db, circuit.clone(), item_bits, &rng);
-    pump(t, &mut client, &mut [RoundServer::new(0, server)])
+    pump(t, &mut client, &mut [RoundServer::new(server)])
 }
 
 /// `k`-server perfectly secure PSM-SPFE for the **sum** function

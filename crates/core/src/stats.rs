@@ -23,8 +23,8 @@ use spfe_math::{Fp64, Nat, Poly, RandomSource, SharedRng};
 use spfe_mpc::phase::{pump_on, ShareClient, SharePhase, ShareServer};
 use spfe_pir::{batched, spir};
 use spfe_transport::{
-    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, RoundClient,
-    RoundServer, ServerRounds, Wire,
+    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, RoundServer,
+    ServerRounds, Wire,
 };
 use std::borrow::Cow;
 
@@ -378,7 +378,7 @@ where
     assert!(db.iter().all(|&v| v < p), "db value exceeds field");
     check_capacity(pk, p, m);
     let rng = SharedRng::new(rng);
-    let client = WeightedSumClient::new(
+    let mut client = WeightedSumClient::new(
         group.clone(),
         pk,
         sk,
@@ -389,11 +389,7 @@ where
         &rng,
     );
     let server = WeightedSumServer::new(group.clone(), pk, db, field, m, &rng);
-    pump(
-        t,
-        &mut RoundClient::new(client),
-        &mut [RoundServer::new(0, server)],
-    )
+    pump(t, &mut client, &mut [RoundServer::new(server)])
 }
 
 /// The §4 average+variance package, one round: the same batched query is

@@ -23,7 +23,7 @@ use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
 use spfe_math::{Fp64, Nat, RandomSource, SharedRng};
 use spfe_mpc::yao2pc::{self, YaoClient, YaoServer};
-use spfe_transport::{pump, Channel, ProtocolError, RoundClient, RoundServer};
+use spfe_transport::{pump, Channel, ProtocolError, RoundServer};
 
 /// Yao MPC phase: evaluates the statistic on mod-`p` shares.
 ///
@@ -137,15 +137,11 @@ where
     let (yao_client, yao_server) = yao_parties("yao-phase", group, stat.share_circuit(m, p), p);
     let rng = SharedRng::new(rng);
     let sel = Select1Client::new(group, pk, sk, db.len(), indices, field, &rng);
-    let mut client = RoundClient::new(Select1Then::new(sel, yao_client));
+    let mut client = Select1Then::new(sel, yao_client);
     let sel = Select1Server::new(group, pk, db, field, m, &rng, &rng);
     let server = Select1Then::new(sel, yao_server);
-    pump(t, &mut client, &mut [RoundServer::new(0, server)])?;
-    let out = client
-        .inner()
-        .phase()
-        .output()
-        .expect("pump finished the session");
+    pump(t, &mut client, &mut [RoundServer::new(server)])?;
+    let out = client.phase().output().expect("pump finished the session");
     Ok(stat.decode_bits(out, m, p))
 }
 

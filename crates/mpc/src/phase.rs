@@ -10,8 +10,7 @@
 
 use spfe_math::{RandomSource, SharedRng};
 use spfe_transport::{
-    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, RoundClient, RoundServer,
-    ServerRounds,
+    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, RoundServer, ServerRounds,
 };
 
 /// A protocol phase that runs on each party's private words.
@@ -131,8 +130,8 @@ where
     R: RandomSource + ?Sized,
 {
     let rng = SharedRng::new(rng);
-    let mut client = RoundClient::new(OnShares::new(client, client_words, &rng));
+    let mut client = OnShares::new(client, client_words, &rng);
     let server = OnShares::new(server, server_words, &rng);
-    pump(t, &mut client, &mut [RoundServer::new(0, server)])?;
-    Ok(client.into_inner().phase)
+    pump(t, &mut client, &mut [RoundServer::new(server)])?;
+    Ok(client.phase)
 }

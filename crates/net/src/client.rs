@@ -1,24 +1,25 @@
-//! The networked client runner: drives a sans-io [`ClientCore`] over a
+//! The networked client runner: drives a sans-io [`ClientRounds`] over a
 //! connected stream, metering every frame on a local [`Transcript`].
 //!
-//! [`run_core`] delivers messages in the same phase order as
-//! [`spfe_transport::pump`] — every client → server message of a burst,
-//! then the server replies in arrival order (which, over one ordered
-//! stream and a sequential peer, is server order) — so the metered
-//! transcript, and hence the digest, per-label byte totals, and the
-//! `spfe-view/v1` fingerprints, are byte-identical to the in-memory run
-//! of the same cores.
+//! [`run_core`] is a transport for the shared client loop
+//! ([`spfe_transport::run_client`]), the same loop [`spfe_transport::pump`]
+//! runs: each exchange sends every query, then reads exactly one reply
+//! per query in arrival order (which, over one ordered stream and a
+//! sequential peer, is server order) — so the metered transcript, and
+//! hence the digest, per-label byte totals, and the `spfe-view/v1`
+//! fingerprints, are byte-identical to the in-memory run of the same
+//! cores.
 //!
 //! [`run_driver`] is the convenience entry point the `spfe-client` binary
-//! and the conformance matrix use: it builds the driver's client core
-//! from `spfe::harness`, runs it against the server's cores, and returns
-//! the digest plus the client-side transcript.
+//! and the conformance matrix use: it builds the driver's client from
+//! `spfe::harness`, runs it against the server's cores, and returns the
+//! digest plus the client-side transcript.
 
 use spfe::harness;
 use spfe_obs::trace as journal;
 use spfe_transport::frame::{read_frame, read_frame_traced, write_frame};
 use spfe_transport::{
-    ClientCore, Direction, Frame, FrameKind, Lamport, ProtocolError, SessionState, Transcript,
+    run_client, ClientRounds, Direction, Frame, FrameKind, Lamport, ProtocolError, Transcript,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -47,8 +48,13 @@ fn invalid(reason: &'static str) -> ProtocolError {
     }
 }
 
-/// Drives `core` over `stream`: handshake, burst-wise message exchange,
-/// Bye. Returns the digest and the metered transcript.
+/// Drives `core` over `stream`: handshake, one burst of queries and
+/// replies per exchange, Bye. Returns the digest and the metered
+/// transcript.
+///
+/// Each reply must come from a server the exchange addressed, under the
+/// exchange's reply label, and at most once per query; anything else
+/// fails the session with a typed [`ProtocolError::InvalidMessage`].
 ///
 /// # Errors
 ///
@@ -57,7 +63,7 @@ fn invalid(reason: &'static str) -> ProtocolError {
 pub fn run_core<S: Read + Write>(
     mut stream: S,
     driver: &str,
-    core: &mut dyn ClientCore,
+    core: &mut dyn ClientRounds,
     num_servers: usize,
     session: u64,
 ) -> Result<(u64, Transcript), ProtocolError> {
@@ -79,74 +85,49 @@ pub fn run_core<S: Read + Write>(
     spfe_obs::net_session_event(true, session, driver);
     let mut transcript = Transcript::new(num_servers);
     let mut clock = Lamport::new();
-    let (mut state, mut outbox) = core.start()?;
-    let mut expected = 0usize;
-    while !(state == SessionState::Done && outbox.is_empty() && expected == 0) {
-        // Burst-send everything the core queued, in emission order.
-        for m in outbox.drain(..) {
-            if !m.client_to_server || m.server >= num_servers {
-                return Err(invalid("client core emitted a misdirected message"));
+    let digest = run_client(core, |ex, queries| {
+        // Burst-send every query, in query order.
+        let mut pending = Vec::with_capacity(queries.len());
+        for (server, payload) in queries {
+            if server >= num_servers {
+                return Err(invalid("query addresses an unknown server"));
             }
-            let dir = Direction::ClientToServer(m.server);
-            transcript.record_raw(dir, m.label, m.payload.len());
+            transcript.record_raw(Direction::ClientToServer(server), ex.query, payload.len());
             let half_round = transcript.report().half_rounds;
-            let frame = Frame::msg(true, session, half_round, m.server, m.label, m.payload);
-            write_stamped(&mut stream, &mut clock, &frame, m.label)?;
-            expected += 1;
+            let frame = Frame::msg(true, session, half_round, server, ex.query, payload);
+            write_stamped(&mut stream, &mut clock, &frame, ex.query)?;
+            pending.push((server, None));
         }
-        if state == SessionState::Done && expected == 0 {
-            break;
-        }
-        if expected == 0 {
-            return Err(invalid("session stalled: no messages in flight"));
-        }
-        // One reply per delivered message in this protocol family.
-        let (frame, carried) = read_frame_traced(&mut stream, 0, "net-msg")?;
-        let recv_stamp = clock.observe(carried.unwrap_or(0));
-        expected -= 1;
-        match frame.kind {
-            FrameKind::Msg if frame.session == session => {
-                let server = frame.server as usize;
-                if server >= num_servers {
-                    return Err(invalid("reply from an unknown server"));
-                }
-                let label = core
-                    .static_label(&frame.label)
-                    .ok_or_else(|| invalid("reply label is foreign to this protocol"))?;
-                spfe_obs::net_frame_event(
-                    false,
-                    label,
-                    frame.payload.len() as u64,
-                    frame.half_round,
-                    recv_stamp,
-                );
-                transcript.record_raw(
-                    Direction::ServerToClient(server),
-                    label,
-                    frame.payload.len(),
-                );
-                let (s, outs) = core.on_message(
-                    transcript.report().half_rounds,
-                    server,
-                    &frame.label,
-                    &frame.payload,
-                )?;
-                state = s;
-                outbox.extend(outs);
+        // Then exactly one reply per query, matched by server.
+        for _ in 0..pending.len() {
+            let (frame, carried) = read_frame_traced(&mut stream, 0, "net-msg")?;
+            let recv_stamp = clock.observe(carried.unwrap_or(0));
+            match frame.kind {
+                FrameKind::Msg if frame.session == session => {}
+                FrameKind::Error => return Err(invalid("server aborted the session")),
+                _ => return Err(invalid("unexpected frame from server")),
             }
-            FrameKind::Error => return Err(invalid("server aborted the session")),
-            _ => return Err(invalid("unexpected frame from server")),
+            let server = frame.server as usize;
+            if frame.label != ex.reply {
+                return Err(invalid("reply label is foreign to this exchange"));
+            }
+            let slot = pending
+                .iter_mut()
+                .find(|(s, reply)| *s == server && reply.is_none())
+                .ok_or_else(|| invalid("duplicate or unsolicited reply"))?;
+            let bytes = frame.payload.len();
+            spfe_obs::net_frame_event(false, ex.reply, bytes as u64, frame.half_round, recv_stamp);
+            transcript.record_raw(Direction::ServerToClient(server), ex.reply, bytes);
+            slot.1 = Some(frame.payload);
         }
-    }
+        Ok(pending.into_iter().filter_map(|(_, reply)| reply).collect())
+    })?;
     let bye = Frame {
         half_round: transcript.report().half_rounds,
         ..Frame::control(FrameKind::Bye, true, session, "", Vec::new())
     };
     let _ = write_stamped(&mut stream, &mut clock, &bye, "net-bye");
     spfe_obs::net_session_event(false, session, driver);
-    let digest = core
-        .digest()
-        .ok_or_else(|| invalid("client core finished without a digest"))?;
     Ok((digest, transcript))
 }
 

@@ -1,8 +1,9 @@
 //! # spfe-net
 //!
 //! The networked SPFE service: a TCP server hosting protocol sessions and
-//! a client runner that drives sans-io session cores
-//! ([`spfe_transport::SessionCore`]) over real sockets.
+//! a client runner that drives sans-io protocol cores
+//! ([`spfe_transport::ClientRounds`], [`spfe_transport::RoundServer`])
+//! over real sockets.
 //!
 //! The layer is deliberately thin — all protocol logic lives in the cores
 //! and all metering in [`spfe_transport::Transcript`] — so a networked run
@@ -12,22 +13,24 @@
 //! it in place.
 //!
 //! * [`Server`] — a `TcpListener` accept loop with one thread per
-//!   session, each hosting the server state machines of the driver its
-//!   Hello names (`spfe::harness`, the same constructor the in-memory
-//!   runs use).
-//! * [`run_core`] / [`run_driver`] — the client side: drive a
-//!   [`spfe_transport::ClientCore`] over a connected stream in the same
-//!   phase order as [`spfe_transport::pump`], metering every frame on a
-//!   local transcript so digests, per-label comm bytes, and audit
+//!   session, each hosting the server cores of the driver its Hello
+//!   names (`spfe::harness`, the same constructor the in-memory runs
+//!   use) and answering every query through
+//!   [`spfe_transport::RoundServer::on_message`].
+//! * [`run_core`] / [`run_driver`] — the client side: the shared client
+//!   loop [`spfe_transport::run_client`] over a connected stream, in the
+//!   same phase order as [`spfe_transport::pump`], metering every frame
+//!   on a local transcript so digests, per-label comm bytes, and audit
 //!   fingerprints are byte-identical to the in-memory run.
 //! * **Operational telemetry** (DESIGN.md §16) — every session settles
 //!   into a [`spfe_obs::metrics::Metrics`] registry (typed failure
 //!   taxonomy, per-driver latency histograms, byte totals), scrapeable
 //!   live over the same listener via [`fetch_stats`] /
 //!   `spfe-client stats`, with `SPFE_LOG`-gated JSONL session logs on
-//!   stderr. The registry's per-driver byte and half-round totals match
-//!   the client-side transcripts *exactly* — the conformance contract
-//!   `tests/net_metrics.rs` pins down.
+//!   stderr. The server meters bytes itself and counts half-rounds from
+//!   its own exchanges, never from client stamps; its per-driver byte
+//!   and half-round totals match the client-side transcripts *exactly*
+//!   — the conformance contract `tests/net_metrics.rs` pins down.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

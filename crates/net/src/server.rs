@@ -28,7 +28,7 @@ use spfe_obs::metrics::{
     epoch_micros, FailureKind, Metrics, MetricsSnapshot, SessionLogRecord, SessionUsage,
 };
 use spfe_transport::frame::{read_frame_or_eof, read_frame_or_eof_traced, write_frame};
-use spfe_transport::{FlowMeter, Frame, FrameKind, Lamport, ProtocolError, SessionCore};
+use spfe_transport::{Frame, FrameKind, Lamport, ProtocolError};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -214,7 +214,8 @@ struct SessionCtx {
     session: u64,
     driver: String,
     opened: bool,
-    flow: FlowMeter,
+    /// What the session transferred so far, metered by the server itself.
+    usage: SessionUsage,
 }
 
 /// The metrics `mode` label of every session: the server computes its
@@ -275,12 +276,8 @@ fn run_session(mut stream: TcpStream, config: &ServerConfig, metrics: &Arc<Metri
         }
     };
     let usage = SessionUsage {
-        bytes_in: ctx.flow.bytes_in,
-        bytes_out: ctx.flow.bytes_out,
-        frames_in: ctx.flow.frames_in,
-        frames_out: ctx.flow.frames_out,
-        half_rounds: u64::from(ctx.flow.half_rounds()),
         wall_micros: start.elapsed().as_micros() as u64,
+        ..ctx.usage
     };
     let driver = if ctx.driver.is_empty() {
         "unknown"
@@ -436,7 +433,10 @@ fn stats_session(stream: &mut TcpStream, metrics: &Metrics, first: Frame) -> Ses
 /// Feeds each Msg frame to the addressed server core and writes its one
 /// reply back, until the client sends Bye (or hangs up) or an error
 /// tears the session down. Incoming frames meter as client → server
-/// traffic, originated replies as server → client.
+/// traffic, originated replies as server → client. Half-rounds come from
+/// the server's own exchange count, never from the client's stamps: a
+/// reply to a core's `j`-th exchange is half-round `2j`, and the session
+/// has as many half-rounds as its furthest reply.
 fn compute_session(
     stream: &mut TcpStream,
     session: u64,
@@ -465,44 +465,40 @@ fn serve_cores(
         match frame.kind {
             FrameKind::Bye => {
                 spfe_obs::net_frame_event(false, "net-bye", 0, frame.half_round, recv_stamp);
-                lock_ctx(ctx).flow.observe_bye(&frame);
                 return Ok(());
             }
             FrameKind::Msg if frame.session == session => {
                 spfe_obs::net_frame_event(false, &frame.label, bytes, frame.half_round, recv_stamp);
-                metrics.transfer(frame.client_to_server, bytes);
-                lock_ctx(ctx).flow.observe_msg(&frame);
+                metrics.transfer(true, bytes);
+                {
+                    let usage = &mut lock_ctx(ctx).usage;
+                    usage.bytes_in += bytes;
+                    usage.frames_in += 1;
+                }
                 let idx = frame.server as usize;
                 let Some(core) = cores.get_mut(idx) else {
                     let reason = "message addresses an unknown server";
                     return Err(abort(stream, session, &frame.label, reason));
                 };
-                let outs =
-                    match core.on_message(frame.half_round, idx, &frame.label, &frame.payload) {
-                        Ok((_, outs)) => outs,
-                        Err(e) => {
-                            let _ = abort(
-                                stream,
-                                session,
-                                &frame.label,
-                                "server core rejected the message",
-                            );
-                            return Err(e);
-                        }
-                    };
-                for m in outs {
-                    let reply = Frame::msg(
-                        false,
-                        session,
-                        frame.half_round + 1,
-                        m.server,
-                        m.label,
-                        m.payload,
-                    );
-                    metrics.transfer(false, reply.payload.len() as u64);
-                    lock_ctx(ctx).flow.observe_msg(&reply);
-                    write_stamped(stream, &mut clock, &reply, m.label)?;
+                let (label, payload) = match core.on_message(&frame.label, &frame.payload) {
+                    Ok(reply) => reply,
+                    Err(e) => {
+                        let reason = "server core rejected the message";
+                        let _ = abort(stream, session, &frame.label, reason);
+                        return Err(e);
+                    }
+                };
+                let half_round = 2 * core.answered() as u32;
+                let reply = Frame::msg(false, session, half_round, idx, label, payload);
+                let bytes = reply.payload.len() as u64;
+                metrics.transfer(false, bytes);
+                {
+                    let usage = &mut lock_ctx(ctx).usage;
+                    usage.bytes_out += bytes;
+                    usage.frames_out += 1;
+                    usage.half_rounds = usage.half_rounds.max(u64::from(half_round));
                 }
+                write_stamped(stream, &mut clock, &reply, label)?;
             }
             _ => {
                 let reason = "unexpected frame in compute session";

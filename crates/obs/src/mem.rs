@@ -31,7 +31,7 @@
 //! (no destructor registration, no allocation); during teardown it falls
 //! back to updating the global gauge directly. The span frame stack,
 //! which does allocate, is managed exclusively by
-//! [`frame_open`]/[`frame_close`] — called from span guards, never from
+//! `frame_open`/`frame_close` — called from span guards, never from
 //! the hook.
 //!
 //! **Hot-path budget**: the hook itself performs no atomic operations —
@@ -67,7 +67,7 @@ pub struct MemStat {
     pub peak_live_bytes: u64,
 }
 
-/// Per-span heap delta produced by [`frame_close`]: the *self* allocation
+/// Per-span heap delta produced by `frame_close`: the *self* allocation
 /// tally of one span occurrence plus the live-heap peak observed while it
 /// (or any child) was open.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -95,8 +95,9 @@ impl FailureKind {
 
 /// What one closed session transferred, as the registry folds it.
 ///
-/// The serving side fills this from a `FlowMeter` over the session's
-/// frames; the client side fills it from its metered transcript. Either
+/// The serving side meters the session's frames into it and counts
+/// half-rounds from its own exchanges; the client side fills it from its
+/// metered transcript. Either
 /// way the fields agree — that equivalence is what `tests/net_metrics.rs`
 /// pins down.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -26,8 +26,7 @@ use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_crypto::SchnorrGroup;
 use spfe_math::{RandomSource, SharedRng};
 use spfe_transport::{
-    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, RoundClient, RoundServer,
-    ServerRounds, Wire,
+    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, RoundServer, ServerRounds, Wire,
 };
 use std::borrow::Cow;
 
@@ -601,14 +600,10 @@ pub fn run_words<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized
 ) -> Result<(Vec<Vec<u64>>, BatchedStats), ProtocolError> {
     let width = db.first().map_or(0, |it| it.len());
     let rng = SharedRng::new(rng);
-    let client = BatchedClient::new(group.clone(), pk, sk, db.len(), width, indices, &rng);
-    let mut client = RoundClient::new(client);
+    let mut client = BatchedClient::new(group.clone(), pk, sk, db.len(), width, indices, &rng);
     let server = BatchedServer::new(group.clone(), pk, db, &rng);
-    pump(t, &mut client, &mut [RoundServer::new(0, server)])?;
-    Ok(client
-        .into_inner()
-        .output()
-        .expect("pump finished the session"))
+    pump(t, &mut client, &mut [RoundServer::new(server)])?;
+    Ok(client.output().expect("pump finished the session"))
 }
 
 /// Runs the batched `SPIR(n, m, *)` over single-word items, returning the

@@ -15,8 +15,8 @@
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_math::{Nat, RandomSource, SharedRng};
 use spfe_transport::{
-    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
-    RoundServer, ServerRounds, Wire, WireError,
+    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundServer,
+    ServerRounds, Wire, WireError,
 };
 use std::borrow::Cow;
 
@@ -340,8 +340,8 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
     let rng = SharedRng::new(rng);
-    let mut client = RoundClient::new(HomPirClient::new(pk, sk, db.len(), index, &rng));
-    let mut servers = [RoundServer::new(0, HomPirServer::new(pk, db))];
+    let mut client = HomPirClient::new(pk, sk, db.len(), index, &rng);
+    let mut servers = [RoundServer::new(HomPirServer::new(pk, db))];
     pump(t, &mut client, &mut servers)
 }
 

@@ -17,8 +17,8 @@
 use spfe_circuits::formula::{encode_index, index_bits, selector_eval};
 use spfe_math::{Fp64, Poly, RandomSource, SharedRng};
 use spfe_transport::{
-    pump_parallel, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
-    RoundServer, ServerRounds, Wire, WireError,
+    pump_parallel, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundServer,
+    ServerRounds, Wire, WireError,
 };
 use std::borrow::Cow;
 
@@ -279,9 +279,9 @@ fn pump_retrieval<R: RandomSource + ?Sized>(
 ) -> Result<u64, ProtocolError> {
     assert_eq!(t.num_servers(), params.num_servers());
     let rng = SharedRng::new(rng);
-    let mut client = RoundClient::new(PolyItClient::new(*params, index, &rng));
+    let mut client = PolyItClient::new(*params, index, &rng);
     let mut servers: Vec<_> = (0..params.num_servers())
-        .map(|h| RoundServer::new(h, PolyItServer::new(h, *params, db, blind.clone())))
+        .map(|h| RoundServer::new(PolyItServer::new(h, *params, db, blind.clone())))
         .collect();
     pump_parallel(t, &mut client, &mut servers)
 }

@@ -19,8 +19,8 @@ use crate::hom_pir::Layout;
 use spfe_crypto::hom::{HomomorphicPk, HomomorphicSk};
 use spfe_math::{Nat, RandomSource, SharedRng};
 use spfe_transport::{
-    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
-    RoundServer, ServerRounds, Wire, WireError,
+    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundServer,
+    ServerRounds, Wire, WireError,
 };
 use std::borrow::Cow;
 
@@ -390,8 +390,8 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
     rng: &mut R,
 ) -> Result<u64, ProtocolError> {
     let rng = SharedRng::new(rng);
-    let mut client = RoundClient::new(RecursiveClient::new(pk, sk, db.len(), index, &rng));
-    let mut servers = [RoundServer::new(0, RecursiveServer::new(pk, db))];
+    let mut client = RecursiveClient::new(pk, sk, db.len(), index, &rng);
+    let mut servers = [RoundServer::new(RecursiveServer::new(pk, db))];
     pump(t, &mut client, &mut servers)
 }
 

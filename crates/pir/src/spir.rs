@@ -20,8 +20,8 @@ use spfe_math::modular::mod_sub;
 use spfe_math::{Nat, RandomSource, SharedRng};
 use spfe_ot::{ot2, ot_n};
 use spfe_transport::{
-    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
-    RoundServer, ServerRounds, Wire, WireError,
+    pump, Channel, ChannelExt, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundServer,
+    ServerRounds, Wire, WireError,
 };
 use std::borrow::Cow;
 
@@ -586,9 +586,9 @@ pub fn run<P: HomomorphicPk, S: HomomorphicSk<P>, R: RandomSource + ?Sized>(
 ) -> Result<u64, ProtocolError> {
     assert_eq!(db.len(), params.n, "db size mismatch");
     let rng = SharedRng::new(rng);
-    let mut client = RoundClient::new(SpirClient::new(params.clone(), pk, sk, index, &rng));
+    let mut client = SpirClient::new(params.clone(), pk, sk, index, &rng);
     let server = SpirServer::new(params.clone(), pk, db, &rng);
-    pump(t, &mut client, &mut [RoundServer::new(0, server)])
+    pump(t, &mut client, &mut [RoundServer::new(server)])
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 
 use spfe_math::{RandomSource, SharedRng};
 use spfe_transport::{
-    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundClient,
-    RoundServer, ServerRounds, Wire, WireError,
+    pump, Channel, ClientRounds, Exchange, ProtocolError, Queries, Reader, RoundServer,
+    ServerRounds, Wire, WireError,
 };
 use std::borrow::Cow;
 
@@ -223,10 +223,10 @@ pub fn run<R: RandomSource + ?Sized>(
 ) -> Result<Vec<u8>, ProtocolError> {
     assert_eq!(t.num_servers(), 2, "xor2 PIR needs exactly 2 servers");
     let rng = SharedRng::new(rng);
-    let mut client = RoundClient::new(Xor2Client::new(db.len(), index, &rng));
-    let mut servers = [0, 1].map(|i| RoundServer::new(i, Xor2Server::new(db)));
+    let mut client = Xor2Client::new(db.len(), index, &rng);
+    let mut servers = [0, 1].map(|_| RoundServer::new(Xor2Server::new(db)));
     pump(t, &mut client, &mut servers)?;
-    Ok(client.into_inner().item.expect("pump finished the session"))
+    Ok(client.item.expect("pump finished the session"))
 }
 
 #[cfg(test)]

@@ -292,7 +292,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     #[derive(Debug, Clone)]
     pub struct VecStrategy<S> {
         element: S,

@@ -43,8 +43,8 @@ use spfe_pir::recursive::{RecursiveClient, RecursiveServer};
 use spfe_pir::spir::{SpirClient, SpirParams, SpirServer};
 use spfe_pir::xor2::{Xor2Client, Xor2Server};
 use spfe_transport::{
-    pump_parallel, Channel, ClientCore, ClientRounds, FaultPlan, FaultyChannel, ProtocolError,
-    RoundClient, RoundServer, ServerRounds, SessionCore,
+    pump_parallel, Channel, ClientRounds, FaultPlan, FaultyChannel, ProtocolError, RoundServer,
+    ServerRounds,
 };
 use std::sync::OnceLock;
 
@@ -127,8 +127,8 @@ fn idx16(v: usize, choices: [usize; NUM_VARIANTS]) -> usize {
 }
 
 // ---------------------------------------------------------------------------
-// The driver table: every protocol in the workspace as a client core plus
-// its server cores, each reduced to a `u64` digest so one matrix covers
+// The driver table: every protocol in the workspace as a client plus its
+// server cores, each reduced to a `u64` digest so one matrix covers
 // them all. One constructor per driver builds both halves; the in-memory
 // runs pump them, the networked client and server host them.
 // ---------------------------------------------------------------------------
@@ -142,13 +142,12 @@ pub type VariantFn =
 
 /// A built server core: each one is an independent party, so the
 /// in-memory runs may evaluate them side by side.
-pub type ServerCore = Box<dyn SessionCore + Send>;
+pub type ServerCore = RoundServer<Box<dyn ServerRounds + Send>>;
 
-/// One driver's client core and server cores for one secret variant,
-/// each half built only when asked for: a networked party builds only
-/// its own.
+/// One driver's client and server cores for one secret variant, each
+/// half built only when asked for: a networked party builds only its own.
 pub struct Cores {
-    client: Box<dyn FnOnce() -> Box<dyn ClientCore>>,
+    client: Box<dyn FnOnce() -> Box<dyn ClientRounds>>,
     servers: Box<dyn FnOnce() -> Vec<ServerCore>>,
 }
 
@@ -178,7 +177,7 @@ pub struct Driver {
 }
 
 impl Cores {
-    /// A client core against one server core per item `servers` yields.
+    /// A client against one server core per item `servers` yields.
     fn new<C, I>(
         client: impl FnOnce() -> C + 'static,
         servers: impl FnOnce() -> I + 'static,
@@ -189,18 +188,16 @@ impl Cores {
         I::Item: ServerRounds + Send + 'static,
     {
         Cores {
-            client: Box::new(|| Box::new(RoundClient::new(client()))),
+            client: Box::new(|| Box::new(client())),
             servers: Box::new(|| {
-                let servers = servers().into_iter().enumerate();
-                servers
-                    .map(|(i, s)| Box::new(RoundServer::new(i, s)) as ServerCore)
-                    .collect()
+                let boxed = |s| RoundServer::new(Box::new(s) as Box<dyn ServerRounds + Send>);
+                servers().into_iter().map(boxed).collect()
             }),
         }
     }
 
     /// Builds the client half only.
-    pub fn client(self) -> Box<dyn ClientCore> {
+    pub fn client(self) -> Box<dyn ClientRounds> {
         (self.client)()
     }
 
@@ -210,7 +207,7 @@ impl Cores {
     }
 
     /// Builds both halves.
-    pub fn both(self) -> (Box<dyn ClientCore>, Vec<ServerCore>) {
+    pub fn both(self) -> (Box<dyn ClientRounds>, Vec<ServerCore>) {
         ((self.client)(), (self.servers)())
     }
 }

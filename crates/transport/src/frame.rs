@@ -1,8 +1,8 @@
 //! Length-prefixed session framing for networked transports.
 //!
 //! Everything above this module is sans-io: protocol messages are `Wire`
-//! byte strings and session cores exchange [`crate::session::OutMsg`]
-//! values. This module defines how those byte strings travel over a real
+//! byte strings that the protocol cores ([`crate::session`]) produce and
+//! consume. This module defines how those byte strings travel over a real
 //! stream — a fixed 30-byte header (magic, version, kind, direction,
 //! session id, half-round, server index, label length, payload length)
 //! followed by the label and the payload, both length-prefixed by the

@@ -28,9 +28,8 @@ pub use error::ProtocolError;
 pub use fault::{FaultAction, FaultPlan, FaultyChannel, TamperHook, DEFAULT_TIMEOUT_TICKS};
 pub use frame::{Frame, FrameKind, HEADER_LEN, MAGIC, MAX_LABEL_LEN, MAX_PAYLOAD_LEN, VERSION};
 pub use lamport::Lamport;
-pub use meter::{CommReport, Direction, FlowMeter, MessageRecord, Transcript};
+pub use meter::{CommReport, Direction, MessageRecord, Transcript};
 pub use session::{
-    pump, pump_parallel, ClientCore, ClientRounds, Exchange, OutMsg, Queries, RoundClient,
-    RoundServer, ServerRounds, SessionCore, SessionState,
+    pump, pump_parallel, run_client, ClientRounds, Exchange, Queries, RoundServer, ServerRounds,
 };
 pub use wire::{Reader, Wire, WireError};

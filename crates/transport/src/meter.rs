@@ -340,65 +340,6 @@ impl Transcript {
     }
 }
 
-/// Server-side session accounting over raw [`crate::Frame`]s.
-///
-/// A serving peer cannot reuse [`Transcript`] — transcript labels are
-/// `&'static str` protocol identifiers, while frames carry runtime
-/// strings — but the operational metrics registry (`spfe-obs::metrics`)
-/// only needs the totals a transcript would report: logical payload bytes
-/// and message counts per direction plus the half-round structure.
-/// `FlowMeter` recovers those from the frames themselves.
-///
-/// The serving side observes the frames it receives (all client →
-/// server) and the replies it originates, each once by its direction
-/// flag. Half-rounds come from the sender's stamps: the client stamps
-/// every frame with its own metered transcript counter and the Bye frame
-/// with the final value, so for a cleanly closed session the maximum
-/// stamp observed equals the client-side half-round total.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowMeter {
-    /// Payload bytes of client → server messages.
-    pub bytes_in: u64,
-    /// Payload bytes of server → client messages.
-    pub bytes_out: u64,
-    /// Client → server `Msg` frames observed.
-    pub frames_in: u64,
-    /// Server → client `Msg` frames observed.
-    pub frames_out: u64,
-    half_round_max: u32,
-}
-
-impl FlowMeter {
-    /// A fresh meter.
-    pub fn new() -> FlowMeter {
-        FlowMeter::default()
-    }
-
-    /// Meters one `Msg` frame by its direction flag.
-    pub fn observe_msg(&mut self, frame: &crate::Frame) {
-        if frame.client_to_server {
-            self.bytes_in += frame.payload.len() as u64;
-            self.frames_in += 1;
-        } else {
-            self.bytes_out += frame.payload.len() as u64;
-            self.frames_out += 1;
-        }
-        self.half_round_max = self.half_round_max.max(frame.half_round);
-    }
-
-    /// Folds a Bye frame's final half-round stamp (Bye carries no metered
-    /// payload).
-    pub fn observe_bye(&mut self, frame: &crate::Frame) {
-        self.half_round_max = self.half_round_max.max(frame.half_round);
-    }
-
-    /// The highest half-round stamp observed — the client's half-round
-    /// total when the session closed with a stamped Bye.
-    pub fn half_rounds(&self) -> u32 {
-        self.half_round_max
-    }
-}
-
 /// Mirrors a metered delivery into the event journal (no-op unless
 /// tracing is on).
 fn trace_wire(dir: Direction, label: &'static str, bytes: usize) {
@@ -582,30 +523,5 @@ mod tests {
         let v = vec![(1u64, vec![2u8, 3]), (4u64, vec![])];
         let got = t.client_to_server(0, "q", &v).unwrap();
         assert_eq!(got, v);
-    }
-
-    #[test]
-    fn flow_meter_splits_directions_and_tracks_stamps() {
-        use crate::frame::{Frame, FrameKind};
-        let mut flow = FlowMeter::new();
-        flow.observe_msg(&Frame::msg(true, 7, 1, 0, "q", vec![0; 10]));
-        flow.observe_msg(&Frame::msg(true, 7, 1, 1, "q", vec![0; 4]));
-        flow.observe_msg(&Frame::msg(false, 7, 2, 0, "a", vec![0; 3]));
-        assert_eq!((flow.bytes_in, flow.bytes_out), (14, 3));
-        assert_eq!((flow.frames_in, flow.frames_out), (2, 1));
-        assert_eq!(flow.half_rounds(), 2, "max stamp so far");
-        // The Bye stamp carries the client's final half-round total and
-        // meters no bytes.
-        flow.observe_bye(&Frame {
-            kind: FrameKind::Bye,
-            client_to_server: true,
-            session: 7,
-            half_round: 4,
-            server: 0,
-            label: String::new(),
-            payload: Vec::new(),
-        });
-        assert_eq!(flow.half_rounds(), 4);
-        assert_eq!((flow.bytes_in, flow.frames_in), (14, 2));
     }
 }

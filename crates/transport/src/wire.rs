@@ -42,7 +42,7 @@ impl<'a> Reader<'a> {
     ///
     /// Fails if fewer than `n` bytes remain.
     pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
-        if self.pos + n > self.buf.len() {
+        if n > self.remaining() {
             return Err(WireError {
                 context: "unexpected end of message",
             });
@@ -311,6 +311,10 @@ mod tests {
         let mut bytes = Vec::new();
         (1u64 << 60).encode(&mut bytes);
         assert!(Vec::<u64>::from_bytes(&bytes).is_err());
+        // A u64::MAX byte length must not overflow the cursor arithmetic.
+        let max = u64::MAX.to_bytes();
+        assert!(Nat::from_bytes(&max).is_err());
+        assert!(String::from_bytes(&max).is_err());
     }
 
     #[test]

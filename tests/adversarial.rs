@@ -20,12 +20,14 @@
 mod common;
 
 use common::*;
+use proptest::prelude::*;
+use proptest::sample::Index;
 use spfe::core::multiserver;
 use spfe::crypto::ChaChaRng;
 use spfe::pir::spir::{self, SpirParams, SpirQuery};
 use spfe::transport::{
-    pump, FaultAction, FaultPlan, FaultyChannel, ProtocolError, SessionCore, Transcript, Wire,
-    MAX_ATTEMPTS,
+    pump, ClientRounds, Exchange, FaultAction, FaultPlan, FaultyChannel, ProtocolError, Queries,
+    Transcript, Wire, MAX_ATTEMPTS,
 };
 
 // ---------------------------------------------------------------------------
@@ -323,7 +325,7 @@ fn every_server_core_rejects_bad_input_with_a_typed_error() {
     for d in drivers() {
         // The client's opening queries (the client rng is seeded, so an
         // identical client core emits the same bytes in the session).
-        let (_, opening) = (d.cores)(0).client().start().expect("client opens");
+        let (label, opening) = opening(&d);
         let (mut client, mut servers) = (d.cores)(0).both();
         let got = pump(
             &mut Transcript::new(d.servers),
@@ -332,10 +334,9 @@ fn every_server_core_rejects_bad_input_with_a_typed_error() {
         );
         assert_eq!(got, Ok(d.expect), "[{}] honest run", d.name);
 
-        for q in &opening {
-            let (i, label, query) = (q.server, q.label, q.payload.as_slice());
+        for &(i, ref query) in &opening {
             // The session is over: replaying its opening query is refused.
-            let replay = servers[i].on_message(9, i, label, query);
+            let replay = servers[i].on_message(label, query);
             assert!(
                 matches!(replay, Err(ProtocolError::InvalidMessage { .. })),
                 "[{} s{i}] replay after the session: {replay:?}",
@@ -343,13 +344,13 @@ fn every_server_core_rejects_bad_input_with_a_typed_error() {
             );
 
             let mut fresh = (d.cores)(0).servers();
-            let foreign = fresh[i].on_message(1, i, "no-such-label", query);
+            let foreign = fresh[i].on_message("no-such-label", query);
             assert!(
                 matches!(foreign, Err(ProtocolError::InvalidMessage { .. })),
                 "[{} s{i}] foreign label: {foreign:?}",
                 d.name
             );
-            let truncated = fresh[i].on_message(1, i, label, &query[..query.len() / 2]);
+            let truncated = fresh[i].on_message(label, &query[..query.len() / 2]);
             assert!(
                 matches!(truncated, Err(ProtocolError::Codec(_))),
                 "[{} s{i}] truncated payload: {truncated:?}",
@@ -362,20 +363,123 @@ fn every_server_core_rejects_bad_input_with_a_typed_error() {
     // sampled index (m = 3): a client asking for more is refused before
     // any scan of the masked database.
     let d = driver("weighted_sum").unwrap();
-    let (_, opening) = (d.cores)(0).client().start().expect("client opens");
+    let (label, opening) = opening(&d);
     let mut server = (d.cores)(0).servers().remove(0);
-    let q = &opening[0];
     server
-        .on_message(1, 0, q.label, &q.payload)
+        .on_message(label, &opening[0].1)
         .expect("first exchange");
     let (f, mut rng) = (fx(), ChaChaRng::from_u64_seed(7));
     let params = SpirParams::new(f.group.clone(), 16);
     let oversized: Vec<SpirQuery> = (0..4)
         .map(|i| spir::client_query(&params, &f.pk, i, &mut rng).0)
         .collect();
-    let got = server.on_message(3, 0, "wsum-fallback-q", &oversized.to_bytes());
+    let got = server.on_message("wsum-fallback-q", &oversized.to_bytes());
     assert!(
         matches!(got, Err(ProtocolError::InvalidMessage { .. })),
         "oversized fallback batch: {got:?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Server cores under random message sequences: every driver's
+// `RoundServer::on_message` answers or returns a typed error, whatever
+// order, label or bytes it is fed.
+// ---------------------------------------------------------------------------
+
+/// A client that records every query of its session under its
+/// exchange's label.
+struct Recorder {
+    inner: Box<dyn ClientRounds>,
+    queries: Vec<(usize, &'static str, Vec<u8>)>,
+}
+
+impl ClientRounds for Recorder {
+    fn exchanges(&self) -> &[Exchange] {
+        self.inner.exchanges()
+    }
+    fn queries(&mut self, step: usize) -> Result<Option<Queries>, ProtocolError> {
+        let queries = self.inner.queries(step)?;
+        let label = self.inner.exchanges()[step].query;
+        for (server, payload) in queries.iter().flatten() {
+            self.queries.push((*server, label, payload.clone()));
+        }
+        Ok(queries)
+    }
+    fn absorb(&mut self, step: usize, replies: Vec<Vec<u8>>) -> Result<(), ProtocolError> {
+        self.inner.absorb(step, replies)
+    }
+    fn digest(&self) -> Option<u64> {
+        self.inner.digest()
+    }
+}
+
+/// One generated message: the server, the label (the picked honest
+/// query's own label when the flag is set, so mutated payloads reach the
+/// decoders), the payload kind, the honest query it derives from, a
+/// cut/bit position, and random bytes.
+type Message = (Index, Index, bool, u8, Index, Index, Vec<u8>);
+
+fn message() -> impl Strategy<Value = Message> {
+    (
+        any::<Index>(),
+        any::<Index>(),
+        any::<bool>(),
+        0u8..6,
+        any::<Index>(),
+        any::<Index>(),
+        proptest::collection::vec(any::<u8>(), 1..48),
+    )
+}
+
+#[test]
+fn every_server_core_survives_random_message_sequences() {
+    for d in drivers() {
+        let (client, mut servers) = (d.cores)(0).both();
+        let mut rec = Recorder {
+            inner: client,
+            queries: Vec::new(),
+        };
+        let got = pump(&mut Transcript::new(d.servers), &mut rec, &mut servers);
+        assert_eq!(got, Ok(d.expect), "[{}] honest run", d.name);
+        let honest = &rec.queries;
+        // Labels from the driver's exchange table, plus junk.
+        let labels: Vec<&str> = (rec.inner.exchanges().iter())
+            .flat_map(|ex| [ex.query, ex.reply])
+            .chain(["no-such-label", ""])
+            .collect();
+        let name = format!(
+            "every_server_core_survives_random_message_sequences::{}",
+            d.name
+        );
+        let sequences = proptest::collection::vec(message(), 1..6);
+        proptest::for_each_case(ProptestConfig::with_cases(64), &name, sequences, |seq| {
+            let mut servers = (d.cores)(0).servers();
+            for (server, label, own_label, kind, pick, at, bytes) in seq {
+                let (honest_server, honest_label, query) = &honest[pick.index(honest.len())];
+                let mut i = server.index(servers.len());
+                let mut label = match own_label {
+                    true => honest_label,
+                    false => labels[label.index(labels.len())],
+                };
+                let payload = match kind {
+                    0 => bytes,
+                    1 => query[..at.index(query.len())].to_vec(),
+                    2 => [query.as_slice(), &bytes].concat(),
+                    3 => {
+                        let (mut q, bit) = (query.clone(), at.index(8 * query.len()));
+                        q[bit / 8] ^= 1 << (bit % 8);
+                        q
+                    }
+                    4 => u64::MAX.to_bytes(),
+                    // The honest query as sent, moving its server on.
+                    _ => {
+                        (i, label) = (*honest_server, honest_label);
+                        query.clone()
+                    }
+                };
+                // A reply or a typed error; a panic fails the test.
+                let _ = servers[i].on_message(label, &payload);
+            }
+        });
+    }
 }

@@ -11,8 +11,10 @@
 mod common;
 use common::*;
 
+use spfe::transport::frame::{read_frame, write_frame};
+use spfe::transport::{Frame, FrameKind};
 use spfe_bench::serve;
-use spfe_net::{fetch_stats, run_driver, Server, ServerConfig};
+use spfe_net::{fetch_stats, next_session_id, run_driver, Server, ServerConfig};
 use spfe_obs::metrics::{parse_snapshot, FailureKind, MetricsSnapshot};
 use std::io::Write;
 use std::net::TcpStream;
@@ -90,7 +92,7 @@ fn server_metrics_match_client_transcripts_exactly() {
             mine.iter()
                 .map(|(_, r)| u64::from(r.half_rounds))
                 .sum::<u64>(),
-            "[{}] Bye carries the final transcript stamp; the server must agree",
+            "[{}] the server's own half-round count must equal the transcripts",
             d.name
         );
     }
@@ -253,4 +255,39 @@ fn session_panic_is_contained_counted_and_survivable() {
         .driver("xor2", "compute")
         .expect("panicked row is folded");
     assert_eq!((row.sessions, row.failed), (1, 1));
+}
+
+/// Half-rounds are the server's own count, never the client's stamps: a
+/// raw client that stamps its xor2 queries and its Bye with `u32::MAX`
+/// completes without a panic, each reply is stamped 2 (the end of the
+/// one exchange), and the xor2 row gains exactly 2 half-rounds.
+#[test]
+fn client_stamps_cannot_inflate_server_half_rounds() {
+    let _ = fx();
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    stream.set_read_timeout(Some(DEADLINE)).unwrap();
+    let session = next_session_id();
+    let hello = Frame::control(FrameKind::Hello, true, session, "xor2", Vec::new());
+    write_frame(&mut stream, &hello, 0, "net-hello").unwrap();
+    let ack = read_frame(&mut stream, 0, "net-hello").unwrap();
+    assert_eq!(ack.kind, FrameKind::Hello);
+    let (label, queries) = opening(&driver("xor2").unwrap());
+    for (index, payload) in queries {
+        let query = Frame::msg(true, session, u32::MAX, index, label, payload);
+        write_frame(&mut stream, &query, index, label).unwrap();
+        let reply = read_frame(&mut stream, 0, "net-msg").unwrap();
+        assert_eq!((reply.kind, reply.half_round), (FrameKind::Msg, 2));
+    }
+    let bye = Frame {
+        half_round: u32::MAX,
+        ..Frame::control(FrameKind::Bye, true, session, "", Vec::new())
+    };
+    write_frame(&mut stream, &bye, 0, "net-bye").unwrap();
+    drop(stream);
+
+    let snap = wait_settled(&server, 1);
+    assert_eq!((snap.sessions_completed, snap.sessions_failed()), (1, 0));
+    let row = snap.driver("xor2", "compute").expect("xor2 row");
+    assert_eq!(row.half_rounds, 2, "the server counts its own exchanges");
 }

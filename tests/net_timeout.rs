@@ -1,14 +1,15 @@
 //! Deadline and fault behaviour of the networked service (DESIGN.md §15):
 //! a stalling peer surfaces as a typed [`ProtocolError::Timeout`] within
 //! the configured deadline (not a hang), a session costs one deadline in
-//! total rather than one per message, and a session killed mid-protocol
-//! leaves the server's other sessions fully functional.
+//! total rather than one per message, a server that replies out of turn
+//! ends the session with a typed error, and a session killed
+//! mid-protocol leaves the server's other sessions fully functional.
 
 mod common;
 use common::*;
 
 use spfe::transport::frame::{read_frame, write_frame};
-use spfe::transport::{Frame, FrameKind, ProtocolError, SessionCore};
+use spfe::transport::{Frame, FrameKind, ProtocolError, Wire};
 use spfe_net::{next_session_id, run_core, run_driver, Server, ServerConfig};
 use spfe_obs::metrics::FailureKind;
 use std::io::Read;
@@ -51,6 +52,88 @@ fn mute_after_handshake() -> (SocketAddr, std::thread::JoinHandle<()>) {
         }
     });
     (addr, peer)
+}
+
+/// A peer that acknowledges the Hello, reads the client's `queries`
+/// query frames, writes `replies` (in the client's session), and then
+/// drains the line until the client hangs up.
+fn scripted_peer(queries: usize, replies: Vec<Frame>) -> (SocketAddr, std::thread::JoinHandle<()>) {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        let hello = read_frame(&mut stream, 0, "t").unwrap();
+        let ack = Frame::control(
+            FrameKind::Hello,
+            false,
+            hello.session,
+            &hello.label,
+            Vec::new(),
+        );
+        write_frame(&mut stream, &ack, 0, "t").unwrap();
+        for _ in 0..queries {
+            read_frame(&mut stream, 0, "t").unwrap();
+        }
+        for frame in replies {
+            let frame = Frame {
+                session: hello.session,
+                ..frame
+            };
+            write_frame(&mut stream, &frame, 0, "t").unwrap();
+        }
+        let mut sink = [0u8; 1024];
+        while let Ok(n) = stream.read(&mut sink) {
+            if n == 0 {
+                break;
+            }
+        }
+    });
+    (addr, peer)
+}
+
+/// A server that replies out of turn — under a foreign label, twice to
+/// one query, from a server the exchange did not address, or with an
+/// Error frame — ends the xor2 session with a typed `InvalidMessage`
+/// right away: no panic, no hang until the deadline.
+#[test]
+fn hostile_replies_fail_typed_and_bounded() {
+    let answer = |server, label| Frame::msg(false, 0, 2, server, label, vec![7u8; 4].to_bytes());
+    let error = Frame::control(FrameKind::Error, false, 0, "xor2", b"refused".to_vec());
+    let cases = [
+        ("foreign label", 2, vec![answer(0, "no-such-label")]),
+        (
+            "twice to one query",
+            2,
+            vec![answer(0, "pir2-answer"), answer(0, "pir2-answer")],
+        ),
+        ("unknown server", 2, vec![answer(7, "pir2-answer")]),
+        // Three servers on the line, but xor2 addresses only 0 and 1.
+        ("server not addressed", 3, vec![answer(2, "pir2-answer")]),
+        ("error frame", 2, vec![error]),
+    ];
+    for (case, num_servers, replies) in cases {
+        let (addr, peer) = scripted_peer(2, replies);
+        let mut client = (driver("xor2").unwrap().cores)(0).client();
+        let start = Instant::now();
+        let err = run_core(
+            connect_with_deadline(addr),
+            "xor2",
+            client.as_mut(),
+            num_servers,
+            next_session_id(),
+        )
+        .expect_err(case);
+        assert!(
+            matches!(err, ProtocolError::InvalidMessage { .. }),
+            "[{case}] expected a typed InvalidMessage, got {err:?}"
+        );
+        assert!(
+            start.elapsed() < DEADLINE,
+            "[{case}] took {:?}: a hostile reply must fail at once",
+            start.elapsed()
+        );
+        peer.join().expect("scripted peer");
+    }
 }
 
 /// A server that accepts and then never answers: the Hello handshake
@@ -167,10 +250,10 @@ fn killed_session_leaves_other_sessions_serving() {
         write_frame(&mut victim, &hello, 0, "net-hello").unwrap();
         let ack = read_frame(&mut victim, 0, "net-hello").unwrap();
         assert_eq!(ack.kind, FrameKind::Hello);
-        let (_, queries) = (driver("xor2").unwrap().cores)(0).client().start().unwrap();
-        let q = &queries[0];
-        let frame = Frame::msg(true, session, 1, q.server, q.label, q.payload.clone());
-        write_frame(&mut victim, &frame, q.server, q.label).unwrap();
+        let (label, queries) = opening(&driver("xor2").unwrap());
+        let (server, payload) = queries[0].clone();
+        let frame = Frame::msg(true, session, 1, server, label, payload);
+        write_frame(&mut victim, &frame, server, label).unwrap();
         let answer = read_frame(&mut victim, 0, "pir2-answer").unwrap();
         assert_eq!(
             (answer.kind, answer.label.as_str()),
