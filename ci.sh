@@ -154,7 +154,7 @@ test -n "$ADDR"
 # against the server's cores, and every session lands in both journals.
 target/release/spfe-client run --trace "$TRACE_CLIENT" --addr "$ADDR" \
   e1 e2 e4 e6 e8 e10 e11 e12
-# Mid-run scrapes over the same listener: spfe-metrics/v1 JSON and
+# Mid-run scrapes over the same listener: spfe-metrics/v2 JSON and
 # Prometheus text exposition, both while sessions are being served.
 target/release/spfe-client stats --addr "$ADDR" > "$SNAP_MID"
 target/release/spfe-client stats --addr "$ADDR" --prom > "$WORK/metrics.prom"
@@ -164,6 +164,8 @@ echo quit >&9
 exec 9>&-
 wait "$SRV_PID"
 grep -q "failed=0" "$SRV_LOG"
+# The shutdown snapshot is taken after every in-flight session settled.
+grep -q '"active": 0' "$SNAP_FINAL"
 
 echo "==> distributed trace merge gate (spfe-tables net-trace)"
 # The two per-party journals from the smoke run must merge into one

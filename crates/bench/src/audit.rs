@@ -451,7 +451,7 @@ pub enum DocKind {
     Cost,
     /// An `spfe-audit/v1` leakage-audit document.
     Audit,
-    /// An `spfe-metrics/v1` operational-telemetry snapshot.
+    /// An `spfe-metrics/v2` operational-telemetry snapshot.
     Metrics,
 }
 
@@ -644,7 +644,6 @@ mod tests {
         registry.session_opened();
         registry.session_closed(
             "xor2",
-            "client",
             Ok(()),
             spfe_obs::metrics::SessionUsage {
                 bytes_in: 64,
@@ -655,7 +654,7 @@ mod tests {
         let metrics_doc = registry.snapshot().to_json();
         let (summary, kind) = validate_doc(&metrics_doc).expect("metrics doc");
         assert_eq!(kind, DocKind::Metrics);
-        assert!(summary.contains("spfe-metrics/v1"));
+        assert!(summary.contains("spfe-metrics/v2"));
         let mut audits = 0usize;
         let mut metrics = 0usize;
         let mut costs = 0usize;

@@ -10,7 +10,7 @@
 //!
 //! * `validate [paths...]` — re-parses each document (an
 //!   `spfe-cost-report/v3` suite, an `spfe-audit/v1` leakage audit or an
-//!   `spfe-metrics/v1` snapshot, reporting which) and fails on schema
+//!   `spfe-metrics/v2` snapshot, reporting which) and fails on schema
 //!   drift; with several files it prints a per-schema tally at the end.
 //! * `audit [driver|eN|all ...] [--json] [--check] [--accept]
 //!   [--baseline PATH]` — the differential obliviousness gate (DESIGN.md
@@ -41,7 +41,7 @@
 //!   every `n ≥ --min-n` (default 4096); with fewer cores the gate
 //!   degrades to a pool-overhead bound of `--overhead` (default 10%).
 //! * `serve-report SNAPSHOT [--baseline EARLIER]` — the service-health
-//!   gate over `spfe-metrics/v1` snapshots scraped from a running
+//!   gate over `spfe-metrics/v2` snapshots scraped from a running
 //!   `spfe-server` (`spfe-client stats`): absolute health rules (zero
 //!   failed sessions, nonzero traffic, registry invariants), plus — with
 //!   `--baseline` — a drift diff against an earlier scrape of the same
@@ -205,7 +205,7 @@ fn list_ids() {
 }
 
 /// `validate [paths...]`: checks each document — `spfe-cost-report/v3`
-/// suite, `spfe-audit/v1` leakage audit, or `spfe-metrics/v1`
+/// suite, `spfe-audit/v1` leakage audit, or `spfe-metrics/v2`
 /// operational snapshot, dispatching on the `schema` field — and, given
 /// several, prints a per-schema tally. Exits nonzero if any file fails.
 fn validate_cmd(args: &[String]) {
@@ -348,7 +348,7 @@ fn net_trace_cmd(args: &[String]) {
 }
 
 /// `serve-report SNAPSHOT [--baseline EARLIER]`: the service-health gate
-/// over `spfe-metrics/v1` snapshots (DESIGN.md §16). Always applies the
+/// over `spfe-metrics/v2` snapshots (DESIGN.md §16). Always applies the
 /// absolute health rules to `SNAPSHOT` (no failed sessions, nonzero
 /// traffic, registry invariants intact); with `--baseline` additionally
 /// diffs against an earlier scrape of the same server run, flagging any

@@ -1,4 +1,4 @@
-//! The service-health gate: turn `spfe-metrics/v1` snapshots into CI
+//! The service-health gate: turn `spfe-metrics/v2` snapshots into CI
 //! verdicts (`spfe-tables serve-report`).
 //!
 //! Two modes, mirroring the cost-trend gate in [`crate::trend`]:
@@ -85,9 +85,8 @@ pub fn check_health(snap: &MetricsSnapshot) -> ServeReport {
     for d in &snap.drivers {
         if d.sessions != d.completed + d.failed {
             report.violations.push(format!(
-                "driver {}/{}: {} session(s) but completed+failed={}",
+                "driver {}: {} session(s) but completed+failed={}",
                 d.driver,
-                d.mode,
                 d.sessions,
                 d.completed + d.failed
             ));
@@ -104,14 +103,12 @@ fn counters(snap: &MetricsSnapshot) -> Vec<(String, u64)> {
         ("stats_probes".to_owned(), snap.stats_probes),
         ("bytes_in".to_owned(), snap.bytes_in),
         ("bytes_out".to_owned(), snap.bytes_out),
-        ("frames_in".to_owned(), snap.frames_in),
-        ("frames_out".to_owned(), snap.frames_out),
     ];
     for kind in FailureKind::ALL {
         out.push((format!("failure:{}", kind.name()), snap.failure(kind)));
     }
     for d in &snap.drivers {
-        let key = format!("driver:{}/{}", d.driver, d.mode);
+        let key = format!("driver:{}", d.driver);
         out.push((format!("{key}:sessions"), d.sessions));
         out.push((format!("{key}:failed"), d.failed));
         out.push((format!("{key}:bytes"), d.bytes_in + d.bytes_out));
@@ -191,8 +188,6 @@ mod tests {
         SessionUsage {
             bytes_in,
             bytes_out,
-            frames_in: 1,
-            frames_out: 1,
             half_rounds: 2,
             wall_micros: 100,
         }
@@ -201,9 +196,7 @@ mod tests {
     fn serving_registry() -> Metrics {
         let m = Metrics::new();
         m.session_opened();
-        m.transfer(true, 64);
-        m.transfer(false, 32);
-        m.session_closed("xor2", "client", Ok(()), usage(64, 32));
+        m.session_closed("xor2", Ok(()), usage(64, 32));
         m
     }
 
@@ -219,7 +212,6 @@ mod tests {
         m.session_opened();
         m.session_closed(
             "hom_pir",
-            "compute",
             Err(FailureKind::CodecReject),
             SessionUsage::default(),
         );
@@ -252,7 +244,6 @@ mod tests {
         m.session_opened();
         m.session_closed(
             "xor2",
-            "client",
             Err(FailureKind::TransferTimeout),
             SessionUsage::default(),
         );
@@ -269,7 +260,7 @@ mod tests {
             report
                 .violations
                 .iter()
-                .any(|v| v.contains("driver:xor2/client:failed")),
+                .any(|v| v.contains("driver:xor2:failed")),
             "{report:?}"
         );
     }
@@ -279,8 +270,7 @@ mod tests {
         let m = serving_registry();
         let before = m.snapshot();
         m.session_opened();
-        m.transfer(true, 128);
-        m.session_closed("hom_pir", "compute", Ok(()), usage(128, 0));
+        m.session_closed("hom_pir", Ok(()), usage(128, 0));
         let report = compare_snapshots(&before, &m.snapshot()).unwrap();
         assert!(report.ok(), "{report:?}");
         let opened = report
@@ -297,8 +287,7 @@ mod tests {
         let grown = m.snapshot();
         let fresh = serving_registry();
         fresh.session_opened();
-        fresh.transfer(true, 1);
-        fresh.session_closed("xor2", "client", Ok(()), usage(1, 0));
+        fresh.session_closed("xor2", Ok(()), usage(1, 0));
         // Pretend the fresh registry's extra session existed first, then
         // "compare" against the original single-session snapshot: the
         // opened counter appears to go backwards.

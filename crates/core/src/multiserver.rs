@@ -396,10 +396,6 @@ impl<C: FnMut(usize, u64) -> u64> Channel for Byzantine<'_, C> {
         self.inner.num_servers()
     }
 
-    fn begin_round(&mut self) {
-        self.inner.begin_round();
-    }
-
     fn transfer_raw(
         &mut self,
         dir: Direction,

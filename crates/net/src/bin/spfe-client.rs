@@ -22,7 +22,7 @@
 //! `spfe-tables net-trace` for a cross-process timeline.
 //!
 //! The `stats` subcommand scrapes the live metrics endpoint of a running
-//! `spfe-server`: `spfe-metrics/v1` JSON by default, Prometheus text
+//! `spfe-server`: `spfe-metrics/v2` JSON by default, Prometheus text
 //! exposition with `--prom`. `--watch` keeps one connection open and
 //! re-fetches every `--interval-ms` (default 1000) until interrupted or
 //! `--count` snapshots have been printed; when the server restarts
@@ -249,7 +249,6 @@ fn main() {
                     metrics.session_opened();
                     metrics.session_closed(
                         &name,
-                        "client",
                         Err(FailureKind::ProtocolError),
                         SessionUsage::default(),
                     );
@@ -260,14 +259,12 @@ fn main() {
             let start = Instant::now();
             let run = run_driver(&addr, &name, deadline);
             let wall_micros = start.elapsed().as_micros() as u64;
-            let (mode, outcome, usage) = match &run {
+            let (outcome, usage) = match &run {
                 Ok(r) => {
                     let rep = r.transcript.report();
                     let usage = SessionUsage {
                         bytes_in: rep.client_to_server,
                         bytes_out: rep.server_to_client,
-                        frames_in: 0,
-                        frames_out: 0,
                         half_rounds: u64::from(rep.half_rounds),
                         wall_micros,
                     };
@@ -276,42 +273,37 @@ fn main() {
                     } else {
                         Err(FailureKind::DigestMismatch)
                     };
-                    ("compute", outcome, usage)
+                    (outcome, usage)
                 }
                 Err(e) => {
                     let usage = SessionUsage {
                         wall_micros,
                         ..SessionUsage::default()
                     };
-                    ("client", Err(classify_failure(false, e)), usage)
+                    (Err(classify_failure(false, e)), usage)
                 }
             };
-            metrics.session_closed(&name, mode, outcome, usage);
+            metrics.session_closed(&name, outcome, usage);
             SessionLogRecord {
                 seq: spfe_obs::metrics::next_log_seq(),
                 ts_micros: epoch_micros(),
                 session: 0,
                 peer: &addr,
                 driver: &name,
-                mode,
                 outcome: match outcome {
                     Ok(()) => "ok",
                     Err(kind) => kind.name(),
                 },
-                wall_micros: usage.wall_micros,
-                bytes_in: usage.bytes_in,
-                bytes_out: usage.bytes_out,
-                half_rounds: usage.half_rounds,
+                usage,
             }
             .emit();
             match run {
                 Ok(run) if run.digest == expect => {
-                    let rep = run.transcript.report();
                     println!(
-                        "ok {name} mode={mode} digest={} bytes={} half_rounds={}",
+                        "ok {name} digest={} bytes={} half_rounds={}",
                         run.digest,
-                        rep.total_bytes(),
-                        rep.half_rounds
+                        usage.bytes_in + usage.bytes_out,
+                        usage.half_rounds
                     );
                 }
                 Ok(run) => {

@@ -10,8 +10,10 @@
 //! parses it), then serves sessions until stdin reaches EOF or a line
 //! reading `quit` arrives, at which point it shuts down gracefully and
 //! prints the session counters (with a per-kind failure breakdown when
-//! anything failed). With `--metrics-json PATH` the final
-//! `spfe-metrics/v1` snapshot is also written to `PATH` — the artifact
+//! anything failed). Shutdown first waits, for at most one read deadline,
+//! until no session is in flight, so the final counters, snapshot and
+//! trace include every session served. With `--metrics-json PATH` the final
+//! `spfe-metrics/v2` snapshot is also written to `PATH` — the artifact
 //! CI uploads. Set `SPFE_LOG=1` for per-session JSONL logs on stderr;
 //! a live snapshot is always scrapeable via `spfe-client stats`.
 //!
@@ -24,7 +26,11 @@
 use spfe_net::{Server, ServerConfig};
 use spfe_obs::metrics::FailureKind;
 use std::io::BufRead;
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// The default `--read-deadline-ms`; also bounds the shutdown wait when
+/// the read deadline is off, so a stalled client cannot hold it forever.
+const DEFAULT_DEADLINE_MS: u64 = 30_000;
 
 fn usage() -> ! {
     eprintln!(
@@ -37,7 +43,7 @@ fn usage() -> ! {
 fn main() {
     let mut host = "127.0.0.1".to_owned();
     let mut port = 0u16;
-    let mut deadline_ms = 30_000u64;
+    let mut deadline_ms = DEFAULT_DEADLINE_MS;
     let mut metrics_json: Option<String> = None;
     let mut trace_path: Option<String> = None;
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -95,6 +101,18 @@ fn main() {
         }
     }
     server.shutdown();
+    // `shutdown` joins only the accept loop: let the in-flight session
+    // threads settle before the final snapshot is taken.
+    let grace = Duration::from_millis(if deadline_ms > 0 {
+        deadline_ms
+    } else {
+        DEFAULT_DEADLINE_MS
+    });
+    let start = Instant::now();
+    let metrics = server.metrics();
+    while metrics.sessions_active() > 0 && start.elapsed() < grace {
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let snapshot = server.snapshot();
     println!(
         "sessions opened={} completed={} failed={}",
@@ -117,8 +135,8 @@ fn main() {
         }
     }
     if let Some(path) = trace_path {
-        // Session threads have exited by now (shutdown joins them), so
-        // their per-thread journals have all flushed to the sink.
+        // A session flushes its journal before it counts as settled, so
+        // every session the wait above saw settle is in the sink.
         let trace = spfe_obs::trace::take();
         if let Err(e) = std::fs::write(&path, spfe_obs::export::perfetto_json(&trace)) {
             eprintln!("spfe-server: writing {path} failed: {e}");

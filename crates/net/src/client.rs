@@ -205,7 +205,7 @@ impl StatsConn {
     }
 
     /// Fetches one snapshot: Prometheus text exposition when `prom`,
-    /// `spfe-metrics/v1` JSON otherwise.
+    /// `spfe-metrics/v2` JSON otherwise.
     ///
     /// # Errors
     ///

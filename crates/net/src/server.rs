@@ -5,16 +5,17 @@
 //! whose label names the driver — the server hosts that driver's server
 //! cores (`spfe::harness`) and answers every message with the cores'
 //! reply — or a [`FrameKind::Stats`] scrape, answered with a live
-//! `spfe-metrics/v1` snapshot on the same listener (DESIGN.md §16).
+//! `spfe-metrics/v2` snapshot on the same listener (DESIGN.md §16).
 //! Sessions are fully isolated: a connection that stalls, dies
 //! mid-protocol, sends garbage, or even panics its session thread poisons
 //! only its own session — the accept loop and every other session keep
 //! running, which is the property `tests/net_timeout.rs` pins down.
 //!
-//! Every session settles into the operational [`Metrics`] registry:
-//! opened/completed counters, the typed [`FailureKind`] taxonomy instead
-//! of one opaque `failed` count, per-frame byte totals, and a
-//! per-driver wall-clock histogram folded at close. With
+//! Every session meters its own bytes and half-rounds into one
+//! [`SessionUsage`] and settles it into the operational [`Metrics`]
+//! registry at close: opened/completed counters, the typed
+//! [`FailureKind`] taxonomy instead of one opaque `failed` count, and the
+//! per-driver byte totals and wall-clock histogram. With
 //! `SPFE_LOG` set, each session additionally emits one structured JSONL
 //! line on stderr ([`SessionLogRecord`]).
 //!
@@ -218,10 +219,6 @@ struct SessionCtx {
     usage: SessionUsage,
 }
 
-/// The metrics `mode` label of every session: the server computes its
-/// half of the protocol.
-const MODE: &str = "compute";
-
 fn lock_ctx<'a>(ctx: &'a Mutex<SessionCtx>) -> std::sync::MutexGuard<'a, SessionCtx> {
     ctx.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -292,22 +289,18 @@ fn run_session(mut stream: TcpStream, config: &ServerConfig, metrics: &Arc<Metri
         spfe_obs::net_session_event(false, ctx.session, driver);
         spfe_obs::trace::flush();
     }
-    metrics.session_closed(driver, MODE, outcome, usage);
+    metrics.session_closed(driver, outcome, usage);
     SessionLogRecord {
         seq: spfe_obs::metrics::next_log_seq(),
         ts_micros: epoch_micros(),
         session: ctx.session,
         peer: &peer,
         driver,
-        mode: MODE,
         outcome: match outcome {
             Ok(()) => "ok",
             Err(kind) => kind.name(),
         },
-        wall_micros: usage.wall_micros,
-        bytes_in: usage.bytes_in,
-        bytes_out: usage.bytes_out,
-        half_rounds: usage.half_rounds,
+        usage,
     }
     .emit();
 }
@@ -399,7 +392,7 @@ fn serve_connection(
 /// Answers [`FrameKind::Stats`] requests until the scraper hangs up.
 /// Scrapes are best effort and never count as session failures; each
 /// answered request bumps `stats_probes`. The request payload selects
-/// the format: `[0]` (or empty) = `spfe-metrics/v1` JSON, `[1]` =
+/// the format: `[0]` (or empty) = `spfe-metrics/v2` JSON, `[1]` =
 /// Prometheus text exposition.
 fn stats_session(stream: &mut TcpStream, metrics: &Metrics, first: Frame) -> SessionEnd {
     let mut request = first;
@@ -444,14 +437,13 @@ fn compute_session(
     metrics: &Metrics,
     ctx: &Mutex<SessionCtx>,
 ) -> Result<(), SessionFailure> {
-    serve_cores(stream, session, cores, metrics, ctx).map_err(|e| fail(ctx, metrics, false, e))
+    serve_cores(stream, session, cores, ctx).map_err(|e| fail(ctx, metrics, false, e))
 }
 
 fn serve_cores(
     stream: &mut TcpStream,
     session: u64,
     cores: &mut [ServerCore],
-    metrics: &Metrics,
     ctx: &Mutex<SessionCtx>,
 ) -> Result<(), ProtocolError> {
     let mut clock = Lamport::new();
@@ -469,12 +461,7 @@ fn serve_cores(
             }
             FrameKind::Msg if frame.session == session => {
                 spfe_obs::net_frame_event(false, &frame.label, bytes, frame.half_round, recv_stamp);
-                metrics.transfer(true, bytes);
-                {
-                    let usage = &mut lock_ctx(ctx).usage;
-                    usage.bytes_in += bytes;
-                    usage.frames_in += 1;
-                }
+                lock_ctx(ctx).usage.bytes_in += bytes;
                 let idx = frame.server as usize;
                 let Some(core) = cores.get_mut(idx) else {
                     let reason = "message addresses an unknown server";
@@ -490,12 +477,9 @@ fn serve_cores(
                 };
                 let half_round = 2 * core.answered() as u32;
                 let reply = Frame::msg(false, session, half_round, idx, label, payload);
-                let bytes = reply.payload.len() as u64;
-                metrics.transfer(false, bytes);
                 {
                     let usage = &mut lock_ctx(ctx).usage;
-                    usage.bytes_out += bytes;
-                    usage.frames_out += 1;
+                    usage.bytes_out += reply.payload.len() as u64;
                     usage.half_rounds = usage.half_rounds.max(u64::from(half_round));
                 }
                 write_stamped(stream, &mut clock, &reply, label)?;

@@ -7,13 +7,15 @@
 //! and per-driver latency histograms that an operator can scrape off the
 //! live listener. Three pieces:
 //!
-//! * **[`Metrics`]** — the lock-light registry. Session and byte counters
-//!   are relaxed atomics (the per-frame hot path takes no lock); the
-//!   per-`(driver, mode)` aggregates — wall-clock [`Histo`]s and byte /
-//!   half-round totals — are folded under a mutex exactly once per
-//!   session close, which is cold by construction.
+//! * **[`Metrics`]** — the registry. Each session meters itself into one
+//!   [`SessionUsage`] and hands it over exactly once, at close; the
+//!   per-driver aggregates — wall-clock [`Histo`]s and byte / half-round
+//!   totals — are folded under a mutex then, which is cold by
+//!   construction. Nothing is counted per frame, and the process-wide
+//!   byte totals are sums over the driver rows, so they agree with the
+//!   rows in every snapshot.
 //! * **[`MetricsSnapshot`]** — a point-in-time copy, rendered as the
-//!   `spfe-metrics/v1` JSON document ([`MetricsSnapshot::to_json`], read
+//!   `spfe-metrics/v2` JSON document ([`MetricsSnapshot::to_json`], read
 //!   back by [`parse_snapshot`]) or as Prometheus text exposition
 //!   ([`MetricsSnapshot::prometheus`]) for a scrape pipeline.
 //! * **[`SessionLogRecord`]** — one structured JSONL line per session on
@@ -35,7 +37,7 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 /// Schema tag of the snapshot document.
-pub const METRICS_SCHEMA: &str = "spfe-metrics/v1";
+pub const METRICS_SCHEMA: &str = "spfe-metrics/v2";
 
 /// The stable failure taxonomy for networked sessions.
 ///
@@ -51,7 +53,7 @@ pub enum FailureKind {
     /// A frame failed validation (bad magic, version, bounds, UTF-8).
     CodecReject = 2,
     /// A well-formed frame violated the session protocol (wrong kind,
-    /// unknown mode or driver, misdirected or rejected message).
+    /// unknown driver, misdirected or rejected message).
     ProtocolError = 3,
     /// The connection was reset, closed mid-frame, or otherwise failed
     /// at the I/O layer.
@@ -93,7 +95,7 @@ impl FailureKind {
     }
 }
 
-/// What one closed session transferred, as the registry folds it.
+/// What one closed session transferred: the registry's only byte meter.
 ///
 /// The serving side meters the session's frames into it and counts
 /// half-rounds from its own exchanges; the client side fills it from its
@@ -106,28 +108,22 @@ pub struct SessionUsage {
     pub bytes_in: u64,
     /// Payload bytes, server → client.
     pub bytes_out: u64,
-    /// Protocol messages, client → server.
-    pub frames_in: u64,
-    /// Protocol messages, server → client.
-    pub frames_out: u64,
     /// Half-rounds of the session (transcript convention).
     pub half_rounds: u64,
     /// Wall-clock duration of the session in microseconds.
     pub wall_micros: u64,
 }
 
-/// Per-`(driver, mode)` aggregate, folded once per session close.
+/// Per-driver aggregate, folded once per session close.
 #[derive(Debug)]
 struct DriverStats {
     driver: String,
-    mode: String,
     sessions: u64,
     completed: u64,
     failed: u64,
-    bytes_in: u64,
-    bytes_out: u64,
-    half_rounds: u64,
-    wall_sum_micros: u64,
+    /// Field-wise sums of the closed sessions' usage (`wall_micros` is
+    /// the exact wall-time sum).
+    total: SessionUsage,
     wall: Histo,
 }
 
@@ -138,22 +134,18 @@ struct Sessions {
     opened: u64,
     completed: u64,
     active: u64,
+    stats_probes: u64,
     failures: [u64; FailureKind::ALL.len()],
     drivers: Vec<DriverStats>,
 }
 
 /// The registry: process-lifetime operational counters for a server (or
-/// client) handling networked SPFE sessions. Session counters settle
-/// under one lock with the per-driver rows; the per-frame byte counters
-/// are lock-free atomics.
+/// client) handling networked SPFE sessions. Every counter settles
+/// under one lock with the per-driver rows, and the byte totals are
+/// derived from those rows.
 #[derive(Debug)]
 pub struct Metrics {
     started: Instant,
-    stats_probes: AtomicU64,
-    bytes_in: AtomicU64,
-    bytes_out: AtomicU64,
-    frames_in: AtomicU64,
-    frames_out: AtomicU64,
     sessions: Mutex<Sessions>,
 }
 
@@ -174,11 +166,6 @@ impl Metrics {
     pub fn new() -> Metrics {
         Metrics {
             started: Instant::now(),
-            stats_probes: AtomicU64::new(0),
-            bytes_in: AtomicU64::new(0),
-            bytes_out: AtomicU64::new(0),
-            frames_in: AtomicU64::new(0),
-            frames_out: AtomicU64::new(0),
             sessions: Mutex::new(Sessions::default()),
         }
     }
@@ -194,18 +181,7 @@ impl Metrics {
     /// A metrics scrape was answered (tracked apart from sessions so
     /// monitoring does not inflate the session counters it reports).
     pub fn stats_probe(&self) {
-        self.stats_probes.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// One protocol message moved; the per-frame hot path (no lock).
-    pub fn transfer(&self, client_to_server: bool, bytes: u64) {
-        if client_to_server {
-            self.bytes_in.fetch_add(bytes, Ordering::Relaxed);
-            self.frames_in.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.bytes_out.fetch_add(bytes, Ordering::Relaxed);
-            self.frames_out.fetch_add(1, Ordering::Relaxed);
-        }
+        lock_sessions(&self.sessions).stats_probes += 1;
     }
 
     /// A session ended; folds its usage into the per-driver aggregates
@@ -214,7 +190,6 @@ impl Metrics {
     pub fn session_closed(
         &self,
         driver: &str,
-        mode: &str,
         outcome: Result<(), FailureKind>,
         usage: SessionUsage,
     ) {
@@ -225,22 +200,15 @@ impl Metrics {
             Err(kind) => sessions.failures[kind as usize] += 1,
         }
         let drivers = &mut sessions.drivers;
-        let entry = match drivers
-            .iter_mut()
-            .find(|d| d.driver == driver && d.mode == mode)
-        {
+        let entry = match drivers.iter_mut().find(|d| d.driver == driver) {
             Some(d) => d,
             None => {
                 drivers.push(DriverStats {
                     driver: driver.to_owned(),
-                    mode: mode.to_owned(),
                     sessions: 0,
                     completed: 0,
                     failed: 0,
-                    bytes_in: 0,
-                    bytes_out: 0,
-                    half_rounds: 0,
-                    wall_sum_micros: 0,
+                    total: SessionUsage::default(),
                     wall: Histo::new(),
                 });
                 drivers.last_mut().expect("just pushed")
@@ -251,10 +219,11 @@ impl Metrics {
             Ok(()) => entry.completed += 1,
             Err(_) => entry.failed += 1,
         }
-        entry.bytes_in += usage.bytes_in;
-        entry.bytes_out += usage.bytes_out;
-        entry.half_rounds += usage.half_rounds;
-        entry.wall_sum_micros += usage.wall_micros;
+        let total = &mut entry.total;
+        total.bytes_in += usage.bytes_in;
+        total.bytes_out += usage.bytes_out;
+        total.half_rounds += usage.half_rounds;
+        total.wall_micros += usage.wall_micros;
         entry.wall.record(usage.wall_micros);
     }
 
@@ -285,27 +254,27 @@ impl Metrics {
 
     /// Metrics scrapes answered.
     pub fn stats_probes(&self) -> u64 {
-        self.stats_probes.load(Ordering::Relaxed)
+        lock_sessions(&self.sessions).stats_probes
     }
 
     /// A point-in-time copy of every counter and aggregate; the session
-    /// counters and the per-driver rows come from one critical section.
+    /// counters and the per-driver rows come from one critical section,
+    /// and the byte totals are the sums over those rows.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let sessions = lock_sessions(&self.sessions);
-        let drivers = sessions
+        let drivers: Vec<DriverSnapshot> = sessions
             .drivers
             .iter()
             .map(|d| DriverSnapshot {
                 driver: d.driver.clone(),
-                mode: d.mode.clone(),
                 sessions: d.sessions,
                 completed: d.completed,
                 failed: d.failed,
-                bytes_in: d.bytes_in,
-                bytes_out: d.bytes_out,
-                half_rounds: d.half_rounds,
+                bytes_in: d.total.bytes_in,
+                bytes_out: d.total.bytes_out,
+                half_rounds: d.total.half_rounds,
                 wall_count: d.wall.count(),
-                wall_sum_micros: d.wall_sum_micros,
+                wall_sum_micros: d.total.wall_micros,
                 p50_micros: d.wall.p50(),
                 p95_micros: d.wall.p95(),
                 p99_micros: d.wall.p99(),
@@ -317,29 +286,24 @@ impl Metrics {
             sessions_opened: sessions.opened,
             sessions_completed: sessions.completed,
             sessions_active: sessions.active,
-            stats_probes: self.stats_probes(),
+            stats_probes: sessions.stats_probes,
             failures: FailureKind::ALL
                 .iter()
                 .map(|&k| (k, sessions.failures[k as usize]))
                 .collect(),
-            bytes_in: self.bytes_in.load(Ordering::Relaxed),
-            bytes_out: self.bytes_out.load(Ordering::Relaxed),
-            frames_in: self.frames_in.load(Ordering::Relaxed),
-            frames_out: self.frames_out.load(Ordering::Relaxed),
+            bytes_in: drivers.iter().map(|d| d.bytes_in).sum(),
+            bytes_out: drivers.iter().map(|d| d.bytes_out).sum(),
             drivers,
         }
     }
 }
 
-/// One driver × mode row of a snapshot.
+/// One driver row of a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DriverSnapshot {
     /// Driver (experiment) name from the Hello frame.
     pub driver: String,
-    /// The session mode label (`compute`: the server runs its half of
-    /// the protocol).
-    pub mode: String,
-    /// Sessions closed under this key (clean or failed).
+    /// Sessions closed under this driver (clean or failed).
     pub sessions: u64,
     /// Clean closes.
     pub completed: u64,
@@ -380,14 +344,12 @@ pub struct MetricsSnapshot {
     pub stats_probes: u64,
     /// Failure counters, one per [`FailureKind`], in `ALL` order.
     pub failures: Vec<(FailureKind, u64)>,
-    /// Payload bytes, client → server, process lifetime.
+    /// Payload bytes, client → server, of every closed session (the sum
+    /// over `drivers`).
     pub bytes_in: u64,
-    /// Payload bytes, server → client, process lifetime.
+    /// Payload bytes, server → client, of every closed session (the sum
+    /// over `drivers`).
     pub bytes_out: u64,
-    /// Protocol messages, client → server.
-    pub frames_in: u64,
-    /// Protocol messages, server → client.
-    pub frames_out: u64,
     /// Per-driver aggregates in first-session order.
     pub drivers: Vec<DriverSnapshot>,
 }
@@ -411,14 +373,12 @@ impl MetricsSnapshot {
         self.bytes_in + self.bytes_out
     }
 
-    /// The per-driver row for `(driver, mode)`, if any session ran it.
-    pub fn driver(&self, driver: &str, mode: &str) -> Option<&DriverSnapshot> {
-        self.drivers
-            .iter()
-            .find(|d| d.driver == driver && d.mode == mode)
+    /// The row of `driver`, if any session of it closed.
+    pub fn driver(&self, driver: &str) -> Option<&DriverSnapshot> {
+        self.drivers.iter().find(|d| d.driver == driver)
     }
 
-    /// Renders the `spfe-metrics/v1` JSON document.
+    /// Renders the `spfe-metrics/v2` JSON document.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
@@ -443,10 +403,6 @@ impl MetricsSnapshot {
             "  \"bytes\": {{\"in\": {}, \"out\": {}}},\n",
             self.bytes_in, self.bytes_out
         ));
-        out.push_str(&format!(
-            "  \"frames\": {{\"in\": {}, \"out\": {}}},\n",
-            self.frames_in, self.frames_out
-        ));
         out.push_str("  \"drivers\": [");
         for (i, d) in self.drivers.iter().enumerate() {
             if i > 0 {
@@ -458,12 +414,11 @@ impl MetricsSnapshot {
                 .map(|&(le, n)| format!("[{le}, {n}]"))
                 .collect();
             out.push_str(&format!(
-                "\n    {{\"driver\": \"{}\", \"mode\": \"{}\", \"sessions\": {}, \
+                "\n    {{\"driver\": \"{}\", \"sessions\": {}, \
                  \"completed\": {}, \"failed\": {}, \"bytes_in\": {}, \"bytes_out\": {}, \
                  \"half_rounds\": {}, \"wall_micros\": {{\"count\": {}, \"sum\": {}, \
                  \"p50\": {}, \"p95\": {}, \"p99\": {}, \"buckets\": [{}]}}}}",
                 escape(&d.driver),
-                escape(&d.mode),
                 d.sessions,
                 d.completed,
                 d.failed,
@@ -486,7 +441,7 @@ impl MetricsSnapshot {
     }
 
     /// Renders Prometheus text exposition (format 0.0.4): counters,
-    /// gauges, and one cumulative histogram per driver × mode.
+    /// gauges, and one cumulative histogram per driver.
     pub fn prometheus(&self) -> String {
         let mut out = String::with_capacity(2048);
         let gauge = |out: &mut String, name: &str, help: &str, value: u64| {
@@ -550,21 +505,9 @@ impl MetricsSnapshot {
             "spfe_bytes_total{{direction=\"out\"}} {}\n",
             self.bytes_out
         ));
-        out.push_str(
-            "# HELP spfe_frames_total Protocol messages, by logical direction.\n\
-             # TYPE spfe_frames_total counter\n",
-        );
-        out.push_str(&format!(
-            "spfe_frames_total{{direction=\"in\"}} {}\n",
-            self.frames_in
-        ));
-        out.push_str(&format!(
-            "spfe_frames_total{{direction=\"out\"}} {}\n",
-            self.frames_out
-        ));
         if !self.drivers.is_empty() {
             out.push_str(
-                "# HELP spfe_driver_sessions_total Sessions closed, by driver and mode.\n\
+                "# HELP spfe_driver_sessions_total Sessions closed, by driver.\n\
                  # TYPE spfe_driver_sessions_total counter\n",
             );
             for d in &self.drivers {
@@ -575,7 +518,7 @@ impl MetricsSnapshot {
                 ));
             }
             out.push_str(
-                "# HELP spfe_driver_failed_total Failed sessions, by driver and mode.\n\
+                "# HELP spfe_driver_failed_total Failed sessions, by driver.\n\
                  # TYPE spfe_driver_failed_total counter\n",
             );
             for d in &self.drivers {
@@ -586,7 +529,7 @@ impl MetricsSnapshot {
                 ));
             }
             out.push_str(
-                "# HELP spfe_driver_bytes_total Payload bytes, by driver, mode and direction.\n\
+                "# HELP spfe_driver_bytes_total Payload bytes, by driver and direction.\n\
                  # TYPE spfe_driver_bytes_total counter\n",
             );
             for d in &self.drivers {
@@ -602,7 +545,7 @@ impl MetricsSnapshot {
                 ));
             }
             out.push_str(
-                "# HELP spfe_driver_half_rounds_total Half-rounds, by driver and mode.\n\
+                "# HELP spfe_driver_half_rounds_total Half-rounds, by driver.\n\
                  # TYPE spfe_driver_half_rounds_total counter\n",
             );
             for d in &self.drivers {
@@ -654,11 +597,7 @@ impl MetricsSnapshot {
 }
 
 fn driver_labels(d: &DriverSnapshot) -> String {
-    format!(
-        "driver=\"{}\",mode=\"{}\"",
-        prom_escape(&d.driver),
-        prom_escape(&d.mode)
-    )
+    format!("driver=\"{}\"", prom_escape(&d.driver))
 }
 
 /// Escapes a Prometheus label value: backslash, double quote, newline.
@@ -686,7 +625,7 @@ fn get_u64(doc: &Json, ctx: &str, path: &[&str]) -> Result<u64, String> {
         .ok_or_else(|| format!("{ctx}: `{}` is not a u64", path.join(".")))
 }
 
-/// Parses a `spfe-metrics/v1` document back into a snapshot.
+/// Parses a `spfe-metrics/v2` document back into a snapshot.
 ///
 /// # Errors
 ///
@@ -716,13 +655,6 @@ pub fn parse_snapshot(src: &str) -> Result<MetricsSnapshot, String> {
         .enumerate()
     {
         let ctx = format!("drivers[{i}]");
-        let text = |key: &str| {
-            entry
-                .get(key)
-                .and_then(Json::as_str)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("{ctx}: missing `{key}`"))
-        };
         let mut buckets = Vec::new();
         for pair in entry
             .get("wall_micros")
@@ -744,8 +676,11 @@ pub fn parse_snapshot(src: &str) -> Result<MetricsSnapshot, String> {
             ));
         }
         drivers.push(DriverSnapshot {
-            driver: text("driver")?,
-            mode: text("mode")?,
+            driver: entry
+                .get("driver")
+                .and_then(Json::as_str)
+                .map(str::to_owned)
+                .ok_or_else(|| format!("{ctx}: missing `driver`"))?,
             sessions: get_u64(entry, &ctx, &["sessions"])?,
             completed: get_u64(entry, &ctx, &["completed"])?,
             failed: get_u64(entry, &ctx, &["failed"])?,
@@ -769,8 +704,6 @@ pub fn parse_snapshot(src: &str) -> Result<MetricsSnapshot, String> {
         failures,
         bytes_in: get_u64(&doc, ctx, &["bytes", "in"])?,
         bytes_out: get_u64(&doc, ctx, &["bytes", "out"])?,
-        frames_in: get_u64(&doc, ctx, &["frames", "in"])?,
-        frames_out: get_u64(&doc, ctx, &["frames", "out"])?,
         drivers,
     })
 }
@@ -810,18 +743,10 @@ pub struct SessionLogRecord<'a> {
     pub peer: &'a str,
     /// Driver / experiment id.
     pub driver: &'a str,
-    /// `compute` (server side) or `client`.
-    pub mode: &'a str,
     /// `ok` or a [`FailureKind`] name.
     pub outcome: &'a str,
-    /// Wall-clock duration of the session in microseconds.
-    pub wall_micros: u64,
-    /// Payload bytes, client → server.
-    pub bytes_in: u64,
-    /// Payload bytes, server → client.
-    pub bytes_out: u64,
-    /// Half-rounds of the session.
-    pub half_rounds: u64,
+    /// What the session transferred, as the registry folded it.
+    pub usage: SessionUsage,
 }
 
 impl SessionLogRecord<'_> {
@@ -829,20 +754,19 @@ impl SessionLogRecord<'_> {
     pub fn render(&self) -> String {
         format!(
             "{{\"event\": \"session\", \"seq\": {}, \"ts_micros\": {}, \"session\": {}, \
-             \"peer\": \"{}\", \"driver\": \"{}\", \"mode\": \"{}\", \
-             \"outcome\": \"{}\", \"wall_micros\": {}, \"bytes_in\": {}, \
-             \"bytes_out\": {}, \"half_rounds\": {}}}",
+             \"peer\": \"{}\", \"driver\": \"{}\", \"outcome\": \"{}\", \
+             \"wall_micros\": {}, \"bytes_in\": {}, \"bytes_out\": {}, \
+             \"half_rounds\": {}}}",
             self.seq,
             self.ts_micros,
             self.session,
             escape(self.peer),
             escape(self.driver),
-            escape(self.mode),
             escape(self.outcome),
-            self.wall_micros,
-            self.bytes_in,
-            self.bytes_out,
-            self.half_rounds
+            self.usage.wall_micros,
+            self.usage.bytes_in,
+            self.usage.bytes_out,
+            self.usage.half_rounds
         )
     }
 
@@ -870,8 +794,6 @@ mod tests {
         SessionUsage {
             bytes_in,
             bytes_out,
-            frames_in: 1,
-            frames_out: 1,
             half_rounds,
             wall_micros: wall,
         }
@@ -882,14 +804,10 @@ mod tests {
         for _ in 0..3 {
             m.session_opened();
         }
-        m.transfer(true, 100);
-        m.transfer(false, 40);
-        m.transfer(true, 7);
-        m.session_closed("hom_pir", "compute", Ok(()), usage(100, 40, 2, 900));
-        m.session_closed("hom_pir", "compute", Ok(()), usage(7, 0, 1, 80_000));
+        m.session_closed("hom_pir", Ok(()), usage(100, 40, 2, 900));
+        m.session_closed("hom_pir", Ok(()), usage(7, 0, 1, 80_000));
         m.session_closed(
             "spir",
-            "client",
             Err(FailureKind::TransferTimeout),
             usage(0, 0, 0, 50),
         );
@@ -909,17 +827,34 @@ mod tests {
         assert_eq!(m.stats_probes(), 1);
         let snap = m.snapshot();
         assert_eq!((snap.bytes_in, snap.bytes_out), (107, 40));
-        assert_eq!((snap.frames_in, snap.frames_out), (2, 1));
         assert_eq!(snap.sessions_failed(), 1);
         assert_eq!(snap.failure(FailureKind::TransferTimeout), 1);
-        let hp = snap.driver("hom_pir", "compute").expect("hom_pir row");
+        let hp = snap.driver("hom_pir").expect("hom_pir row");
         assert_eq!(hp.sessions, 2);
         assert_eq!(hp.completed, 2);
         assert_eq!((hp.bytes_in, hp.bytes_out, hp.half_rounds), (107, 40, 3));
         assert_eq!(hp.wall_sum_micros, 80_900);
         assert!(hp.p50_micros >= 900 && hp.p99_micros >= 80_000);
-        assert_eq!(snap.driver("spir", "client").unwrap().failed, 1);
-        assert!(snap.driver("spir", "compute").is_none());
+        assert_eq!(snap.driver("spir").unwrap().failed, 1);
+        assert!(snap.driver("xor2").is_none());
+    }
+
+    #[test]
+    fn ok_and_failed_closes_of_one_driver_share_a_row() {
+        let m = Metrics::new();
+        m.session_opened();
+        m.session_closed("xor2", Ok(()), usage(60, 12, 2, 300));
+        m.session_opened();
+        m.session_closed("xor2", Err(FailureKind::Io), usage(0, 0, 0, 40));
+        let snap = m.snapshot();
+        assert_eq!(snap.drivers.len(), 1, "{snap:?}");
+        let row = &snap.drivers[0];
+        assert_eq!(row.driver, "xor2");
+        assert_eq!((row.sessions, row.completed, row.failed), (2, 1, 1));
+        assert_eq!(
+            (row.bytes_in, row.bytes_out),
+            (snap.bytes_in, snap.bytes_out)
+        );
     }
 
     #[test]
@@ -990,7 +925,7 @@ mod tests {
         assert!(prom.contains("spfe_sessions_opened_total 3"));
         assert!(prom.contains("spfe_sessions_failed_total{kind=\"transfer-timeout\"} 1"));
         assert!(prom.contains("spfe_bytes_total{direction=\"in\"} 107"));
-        assert!(prom.contains("spfe_driver_sessions_total{driver=\"hom_pir\",mode=\"compute\"} 2"));
+        assert!(prom.contains("spfe_driver_sessions_total{driver=\"hom_pir\"} 2"));
         // Histogram invariants: buckets cumulative, +Inf equals _count.
         let inf: Vec<&str> = prom
             .lines()
@@ -998,8 +933,7 @@ mod tests {
             .collect();
         assert_eq!(inf.len(), 1);
         assert!(inf[0].ends_with(" 2"));
-        assert!(prom
-            .contains("spfe_session_wall_micros_sum{driver=\"hom_pir\",mode=\"compute\"} 80900"));
+        assert!(prom.contains("spfe_session_wall_micros_sum{driver=\"hom_pir\"} 80900"));
         // Every line is either a comment or `name{labels} value`.
         for line in prom.lines() {
             if line.starts_with('#') {
@@ -1022,7 +956,7 @@ mod tests {
         // One cumulative series per stable bound, occupied or not, plus
         // +Inf — the exposition schema does not depend on the samples.
         for d in &snap.drivers {
-            let labels = format!("driver=\"{}\",mode=\"{}\"", d.driver, d.mode);
+            let labels = format!("driver=\"{}\"", d.driver);
             let buckets: Vec<&str> = prom
                 .lines()
                 .filter(|l| l.starts_with("spfe_session_wall_micros_bucket") && l.contains(&labels))
@@ -1047,7 +981,7 @@ mod tests {
         assert_eq!(prom_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         let m = Metrics::new();
         m.session_opened();
-        m.session_closed("we\"ird\\name", "client", Ok(()), usage(1, 1, 1, 1));
+        m.session_closed("we\"ird\\name", Ok(()), usage(1, 1, 1, 1));
         let prom = m.snapshot().prometheus();
         assert!(prom.contains("driver=\"we\\\"ird\\\\name\""));
     }
@@ -1061,7 +995,7 @@ mod tests {
         let single = Metrics::new();
         for &s in &samples {
             single.session_opened();
-            single.session_closed("d", "compute", Ok(()), usage(s, 2 * s, 2, s));
+            single.session_closed("d", Ok(()), usage(s, 2 * s, 2, s));
         }
         let folded = std::sync::Arc::new(Metrics::new());
         let mut handles = Vec::new();
@@ -1071,7 +1005,7 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 for s in chunk {
                     m.session_opened();
-                    m.session_closed("d", "compute", Ok(()), usage(s, 2 * s, 2, s));
+                    m.session_closed("d", Ok(()), usage(s, 2 * s, 2, s));
                 }
             }));
         }
@@ -1083,7 +1017,7 @@ mod tests {
         a.uptime_micros = 0;
         b.uptime_micros = 0;
         assert_eq!(a, b, "fold is schedule-invariant");
-        let d = a.driver("d", "compute").unwrap();
+        let d = a.driver("d").unwrap();
         assert_eq!(d.wall_count, samples.len() as u64);
         assert_eq!(d.wall_sum_micros, samples.iter().sum::<u64>());
         assert!(d.p50_micros <= d.p95_micros && d.p95_micros <= d.p99_micros);
@@ -1097,12 +1031,8 @@ mod tests {
             session: 42,
             peer: "127.0.0.1:5000",
             driver: "hom_pir",
-            mode: "compute",
             outcome: "ok",
-            wall_micros: 1234,
-            bytes_in: 10,
-            bytes_out: 20,
-            half_rounds: 2,
+            usage: usage(10, 20, 2, 1234),
         };
         let line = rec.render();
         let doc = json::parse(&line).expect("log line is JSON");
@@ -1127,12 +1057,8 @@ mod tests {
             session: 1,
             peer: "local",
             driver: "d",
-            mode: "client",
             outcome: "ok",
-            wall_micros: 1,
-            bytes_in: 0,
-            bytes_out: 0,
-            half_rounds: 0,
+            usage: usage(0, 0, 0, 1),
         };
         let doc = json::parse(&rec.render()).expect("log line is JSON");
         assert_eq!(doc.get("seq").and_then(Json::as_u64), Some(rec.seq));

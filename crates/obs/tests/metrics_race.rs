@@ -1,6 +1,6 @@
 //! Snapshot consistency of the metrics registry under concurrent session
-//! churn: a poller must never observe session counters that disagree
-//! with the per-driver rows, however the closes interleave.
+//! churn: a poller must never observe session counters or byte totals
+//! that disagree with the per-driver rows, however the closes interleave.
 
 use spfe_obs::metrics::{FailureKind, Metrics, SessionUsage};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,7 +21,12 @@ fn snapshots_stay_consistent_while_sessions_close_concurrently() {
                 let snap = metrics.snapshot();
                 let rows: u64 = snap.drivers.iter().map(|d| d.sessions).sum();
                 let settled = snap.sessions_completed + snap.sessions_failed();
-                if rows != settled || snap.sessions_opened != settled + snap.sessions_active {
+                let bytes_in: u64 = snap.drivers.iter().map(|d| d.bytes_in).sum();
+                let bytes_out: u64 = snap.drivers.iter().map(|d| d.bytes_out).sum();
+                if rows != settled
+                    || snap.sessions_opened != settled + snap.sessions_active
+                    || (snap.bytes_in, snap.bytes_out) != (bytes_in, bytes_out)
+                {
                     inconsistent += 1;
                 }
                 snapshots += 1;
@@ -41,7 +46,13 @@ fn snapshots_stay_consistent_while_sessions_close_concurrently() {
                     } else {
                         Ok(())
                     };
-                    metrics.session_closed(&driver, "compute", outcome, SessionUsage::default());
+                    let usage = SessionUsage {
+                        bytes_in: 3 + (i % 5) as u64,
+                        bytes_out: 1 + t as u64,
+                        half_rounds: 2,
+                        wall_micros: 1,
+                    };
+                    metrics.session_closed(&driver, outcome, usage);
                 }
             })
         })
@@ -61,4 +72,10 @@ fn snapshots_stay_consistent_while_sessions_close_concurrently() {
     assert_eq!(last.sessions_opened, total);
     assert_eq!(last.sessions_completed + last.sessions_failed(), total);
     assert_eq!(last.sessions_active, 0);
+    let bytes_in: u64 = (0..PAIRS).map(|i| 3 + (i % 5) as u64).sum();
+    let bytes_out: u64 = (0..THREADS).map(|t| (1 + t as u64) * PAIRS as u64).sum();
+    assert_eq!(
+        (last.bytes_in, last.bytes_out),
+        (THREADS as u64 * bytes_in, bytes_out)
+    );
 }

@@ -34,9 +34,6 @@ pub trait Channel {
     /// Number of servers on this channel.
     fn num_servers(&self) -> usize;
 
-    /// Explicitly starts a new client-initiated round.
-    fn begin_round(&mut self);
-
     /// Delivers `bytes` in direction `dir`, returning the bytes as seen by
     /// the receiver (possibly tampered by a faulty transport).
     ///
@@ -75,10 +72,6 @@ pub trait Channel {
 impl Channel for Transcript {
     fn num_servers(&self) -> usize {
         Transcript::num_servers(self)
-    }
-
-    fn begin_round(&mut self) {
-        Transcript::begin_round(self);
     }
 
     fn transfer_raw(

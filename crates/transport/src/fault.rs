@@ -322,10 +322,6 @@ impl Channel for FaultyChannel {
         self.inner.num_servers()
     }
 
-    fn begin_round(&mut self) {
-        self.inner.begin_round();
-    }
-
     fn transfer_raw(
         &mut self,
         dir: Direction,

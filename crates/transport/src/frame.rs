@@ -51,7 +51,7 @@ pub enum FrameKind {
     Error = 3,
     /// A metrics scrape: the request payload is `[format]` (0 = JSON,
     /// 1 = Prometheus text), the reply payload is the rendered
-    /// `spfe-metrics/v1` snapshot. Served on the same listener as
+    /// `spfe-metrics/v2` snapshot. Served on the same listener as
     /// sessions so operators need no second port.
     Stats = 4,
     /// A causal-context carrier for distributed session tracing: the

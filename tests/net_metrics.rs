@@ -3,7 +3,7 @@
 //! the client-side metered transcripts — per-driver session counts, byte
 //! totals in both directions, and half-round structure all match to the
 //! unit. On top of that, the scrape endpoint must serve well-formed
-//! `spfe-metrics/v1` JSON (roundtripping through `spfe-obs::json`) and
+//! `spfe-metrics/v2` JSON (roundtripping through `spfe-obs::json`) and
 //! Prometheus text exposition over the same TCP listener, failures must
 //! land in the right [`FailureKind`] bucket, and a panicking session
 //! thread must be contained, counted, and survivable.
@@ -71,7 +71,7 @@ fn server_metrics_match_client_transcripts_exactly() {
     for d in &table {
         let mine: Vec<_> = reports.iter().filter(|(n, _)| *n == d.name).collect();
         let row = snap
-            .driver(d.name, "compute")
+            .driver(d.name)
             .unwrap_or_else(|| panic!("{}/compute row", d.name));
         assert_eq!(row.sessions, mine.len() as u64, "[{}]", d.name);
         assert_eq!(row.completed, mine.len() as u64, "[{}]", d.name);
@@ -150,7 +150,7 @@ fn prometheus_exposition_over_the_wire_is_wellformed() {
         "spfe_session_wall_micros_bucket{",
         "le=\"+Inf\"",
         "spfe_bytes_total{direction=\"in\"}",
-        "mode=\"compute\"",
+        "driver=\"xor2\"",
     ] {
         assert!(prom.contains(needle), "missing `{needle}` in:\n{prom}");
     }
@@ -251,9 +251,7 @@ fn session_panic_is_contained_counted_and_survivable() {
     let snap = wait_settled(&server, 2);
     assert_eq!(snap.sessions_completed, 1);
     assert_eq!(snap.sessions_failed(), 1);
-    let row = snap
-        .driver("xor2", "compute")
-        .expect("panicked row is folded");
+    let row = snap.driver("xor2").expect("panicked row is folded");
     assert_eq!((row.sessions, row.failed), (1, 1));
 }
 
@@ -288,6 +286,6 @@ fn client_stamps_cannot_inflate_server_half_rounds() {
 
     let snap = wait_settled(&server, 1);
     assert_eq!((snap.sessions_completed, snap.sessions_failed()), (1, 0));
-    let row = snap.driver("xor2", "compute").expect("xor2 row");
+    let row = snap.driver("xor2").expect("xor2 row");
     assert_eq!(row.half_rounds, 2, "the server counts its own exchanges");
 }
